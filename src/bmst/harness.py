@@ -21,6 +21,7 @@ from . import analysis
 from .channel import channel_llr, ebn0_to_sigma, transmit
 from .codes import compute_iowef, parse_code_spec
 from .coupling import bpsk_map, encode_frame, make_system, true_branch_words
+from .kernels import KERNEL_ID
 from .swd import decode_frame_swd
 from .tpd import (TpdConfig, decode_frame_gad, decode_frame_tpd,
                   flipped_side_info, perfect_side_info)
@@ -77,7 +78,12 @@ class SimConfig:
         return d
 
     def content_hash(self):
-        blob = json.dumps(self.to_dict(), sort_keys=False).encode()
+        """Identity of the results: every field that affects them, plus the
+        kernel that computes them. The worker count changes no result."""
+        d = self.to_dict()
+        del d["workers"]
+        d["kernel"] = KERNEL_ID
+        blob = json.dumps(d, sort_keys=False).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
@@ -98,7 +104,8 @@ class PointResult:
     truncated: bool
 
     def csv_row(self):
-        return [f"{self.ebn0_db:.6g}", self.decoder, self.bits, self.errors,
+        # repr round-trips the float, so resume matches grid points exactly
+        return [repr(float(self.ebn0_db)), self.decoder, self.bits, self.errors,
                 f"{self.ber:.6e}", f"{self.ci_low:.6e}", f"{self.ci_high:.6e}",
                 self.p1_bits, self.p1_errors, self.p2_errors,
                 f"{self.mean_iters:.4f}", self.seed, int(self.truncated)]
@@ -229,10 +236,31 @@ def config_sidecar_path(out_csv):
 
 
 def _load_completed(out_csv):
+    """Grid values of the complete rows of a results CSV.
+
+    A last row that a crash cut short (too few fields, or no line end) is
+    removed from the file, so that its point runs again. Any other bad row
+    raises ConfigError."""
+    with open(out_csv, "rb") as fh:
+        data = fh.read()
+    lines = data.decode().splitlines(keepends=True)
+    rows = list(csv.reader(lines))
+    if not rows or rows[0] != RESULT_CSV_HEADER:
+        raise ConfigError(f"{out_csv} does not start with the results header")
+    if len(rows) > 1 and (len(rows[-1]) < len(RESULT_CSV_HEADER)
+                          or not lines[-1].endswith("\n")):
+        with open(out_csv, "r+b") as fh:
+            fh.truncate(len(data) - len(lines[-1].encode()))
+        rows.pop()
     done = set()
-    with open(out_csv, newline="") as fh:
-        for row in csv.DictReader(fh):
-            done.add(float(row["ebn0_db"]))
+    for n, row in enumerate(rows[1:], start=2):
+        if len(row) != len(RESULT_CSV_HEADER):
+            raise ConfigError(f"{out_csv} line {n} has {len(row)} fields, "
+                              f"expected {len(RESULT_CSV_HEADER)}")
+        try:
+            done.add(float(row[0]))
+        except ValueError:
+            raise ConfigError(f"{out_csv} line {n}: bad ebn0_db {row[0]!r}") from None
     return done
 
 
@@ -251,7 +279,8 @@ def run_sweep(cfg, out_csv=None):
             with open(sidecar) as f:
                 stored = json.load(f)
             if stored.get("content_hash") != cfg.content_hash():
-                raise ConfigError("existing results were produced by a different config")
+                raise ConfigError("existing results were produced by a different "
+                                  f"config or kernel (this kernel: {KERNEL_ID})")
             done = _load_completed(out_csv)
         else:
             with open(sidecar, "w") as f:
@@ -268,7 +297,7 @@ def run_sweep(cfg, out_csv=None):
     results = []
     try:
         for idx, g in enumerate(cfg.ebn0_grid_db):
-            if float(g) in done:
+            if g in done:
                 continue
             res = run_point(cfg, g, point_idx=idx)
             results.append(res)

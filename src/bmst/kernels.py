@@ -1,33 +1,27 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
-
-The numba path is used by default. Set BMST_NUMBA=0 in the environment to
-force the pure-numpy fallback (useful for debugging and as a reference in
-benchmarks/bench_kernels.py). Both implementations are always importable
-under the *_numpy / *_numba names so tests can cross-check them.
+"""Hot numeric kernels, in numpy.
 
 All LLRs use the convention log(P(bit=0)/P(bit=1)) and are clamped to
 [-LLR_MAX, LLR_MAX]. Boxplus is the exact XOR-constraint combination rule
-2*atanh(tanh(a/2)*tanh(b/2)), evaluated in the standard numerically stable
-form.
-"""
+2*atanh(tanh(a/2)*tanh(b/2)) (Hagenauer, Offer & Papke 1996).
 
-import math
-import os
+The leave-one-out kernels work in the phi domain (Fossorier, Mihaljevic &
+Imai 1999): with phi(x) = -log(tanh(x/2)), which is its own inverse on
+x >= 0, the boxplus of several LLRs has magnitude phi(sum of phi(|llr|))
+and the sign of the product of their signs. This is exact, like the tanh
+rule. boxplus_numpy is the pairwise form of the same rule and serves as the
+elementwise oracle; the kernels agree with it to 1e-12 in LLR.
+"""
 
 import numpy as np
 
 LLR_MAX = 40.0
 
-# identity element for boxplus reductions; large enough that the correction
-# terms vanish, small enough that sums of a few of them do not overflow
-_BP_IDENT = 1e30
+# Names the leave-one-out arithmetic. Results hash it, so a run written by
+# a different kernel is not resumed into one written by this kernel.
+KERNEL_ID = "phi-loo-1"
 
-NUMBA_ENABLED = os.environ.get("BMST_NUMBA", "1") != "0"
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+# Kept for the benchmark's run record; there is no compiled kernel path.
+NUMBA_ENABLED = False
 
 # correction terms log1p(exp(-x)) are dropped for x above this: at 30 they
 # are ~9e-14, below double-precision relevance on the LLR scale
@@ -44,24 +38,60 @@ def boxplus_numpy(a, b):
     return out
 
 
-def leave_one_out_boxplus_numpy(stack):
+def boxplus_scalar(a, b):
+    """Scalar boxplus, exact formula. Mostly for tests and small oracles."""
+    return float(boxplus_numpy(np.float64(a), np.float64(b)))
+
+
+def phi(x):
+    """phi(x) = log((e^x + 1)/(e^x - 1)) for x >= 0, in the branch-free form
+    log1p(2/expm1(x)), which keeps full relative precision at both ends.
+    phi(0) = inf and phi(inf) = 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return _phi_inplace(np.array(x, dtype=np.float64))
+
+
+def _phi_inplace(x):
+    # callers silence the divide and overflow warnings of phi(0) and phi(tiny)
+    np.expm1(x, out=x)
+    np.divide(2.0, x, out=x)
+    return np.log1p(x, out=x)
+
+
+def clamp(x):
+    """Clamp an LLR array to +-LLR_MAX in place; returns it."""
+    np.minimum(x, LLR_MAX, out=x)
+    np.maximum(x, -LLR_MAX, out=x)
+    return x
+
+
+def leave_one_out_boxplus(stack):
     """For an (M, n) stack of LLRs, row i of the result is the boxplus of
-    all rows except i. Output clamped to +-LLR_MAX."""
+    all rows except i. Output clamped to +-LLR_MAX.
+
+    The phi sum over the other rows is an exclusive prefix sum plus an
+    exclusive suffix sum. Subtracting a row's own term from the total
+    instead would cancel catastrophically whenever that term dominates."""
     stack = np.asarray(stack, dtype=np.float64)
-    m, n = stack.shape
-    pre = np.empty((m + 1, n))
-    suf = np.empty((m + 1, n))
-    pre[0] = _BP_IDENT
-    suf[m] = _BP_IDENT
-    for i in range(m):
-        pre[i + 1] = boxplus_numpy(pre[i], stack[i])
-    for i in range(m - 1, -1, -1):
-        suf[i] = boxplus_numpy(suf[i + 1], stack[i])
-    out = boxplus_numpy(pre[:m], suf[1:])
-    return np.clip(out, -LLR_MAX, LLR_MAX)
+    rows = len(stack)
+    with np.errstate(divide="ignore", over="ignore"):
+        mag = _phi_inplace(np.abs(stack))
+        loo = np.empty_like(mag)
+        suf = np.empty_like(mag)
+        loo[0] = 0.0
+        suf[-1] = 0.0
+        for i in range(1, rows):
+            np.add(loo[i - 1], mag[i - 1], out=loo[i])
+        for i in range(rows - 2, -1, -1):
+            np.add(suf[i + 1], mag[i + 1], out=suf[i])
+        out = _phi_inplace(np.add(loo, suf, out=loo))
+    np.minimum(out, LLR_MAX, out=out)
+    # row i is negative where its sign differs from the parity of all signs
+    parity = np.bitwise_xor.reduce(np.signbit(stack), axis=0)
+    return np.copysign(out, stack * np.where(parity, -1.0, 1.0), out=out)
 
 
-def blockwise_loo_sum_numpy(llr, block):
+def blockwise_loo_sum(llr, block):
     """Leave-one-out sum within consecutive blocks of `block` bits.
 
     This is the extrinsic SISO update of a repetition code: every code bit
@@ -69,11 +99,10 @@ def blockwise_loo_sum_numpy(llr, block):
     other bits' LLRs in its block."""
     llr = np.asarray(llr, dtype=np.float64)
     x = llr.reshape(-1, block)
-    out = x.sum(axis=1, keepdims=True) - x
-    return np.clip(out.reshape(llr.shape), -LLR_MAX, LLR_MAX)
+    return clamp(x.sum(axis=1, keepdims=True) - x).reshape(llr.shape)
 
 
-def blockwise_loo_boxplus_numpy(llr, block):
+def blockwise_loo_boxplus(llr, block):
     """Leave-one-out boxplus within consecutive blocks of `block` bits.
 
     This is the extrinsic SISO update of a single parity-check code: the
@@ -81,226 +110,4 @@ def blockwise_loo_boxplus_numpy(llr, block):
     constraint gives the boxplus of the other bits."""
     llr = np.asarray(llr, dtype=np.float64)
     x = llr.reshape(-1, block).T  # (block, nblocks)
-    return leave_one_out_boxplus_numpy(x).T.reshape(llr.shape)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, inline="always")
-    def _bp(a, b):
-        s = min(abs(a), abs(b))
-        if (a < 0.0) != (b < 0.0):
-            s = -s
-        if a == 0.0 or b == 0.0:
-            s = 0.0
-        x = abs(a + b)
-        if x < _BP_CORR_CUT:
-            s += math.log1p(math.exp(-x))
-        x = abs(a - b)
-        if x < _BP_CORR_CUT:
-            s -= math.log1p(math.exp(-x))
-        return s
-
-    @njit(cache=True)
-    def boxplus_numba(a, b):
-        out = np.empty_like(a)
-        af = a.ravel()
-        bf = b.ravel()
-        of = out.ravel()
-        for i in range(af.size):
-            of[i] = _bp(af[i], bf[i])
-        return out
-
-    @njit(cache=True)
-    def leave_one_out_boxplus_numba(stack):
-        m, n = stack.shape
-        out = np.empty((m, n))
-        pre = np.empty(m + 1)
-        suf = np.empty(m + 1)
-        for j in range(n):
-            pre[0] = _BP_IDENT
-            suf[m] = _BP_IDENT
-            for i in range(m):
-                pre[i + 1] = _bp(pre[i], stack[i, j])
-            for i in range(m - 1, -1, -1):
-                suf[i] = _bp(suf[i + 1], stack[i, j])
-            for i in range(m):
-                v = _bp(pre[i], suf[i + 1])
-                if v > LLR_MAX:
-                    v = LLR_MAX
-                elif v < -LLR_MAX:
-                    v = -LLR_MAX
-                out[i, j] = v
-        return out
-
-    @njit(cache=True)
-    def blockwise_loo_sum_numba(llr, block):
-        n = llr.size
-        out = np.empty(n)
-        for b in range(n // block):
-            tot = 0.0
-            for j in range(block):
-                tot += llr[b * block + j]
-            for j in range(block):
-                v = tot - llr[b * block + j]
-                if v > LLR_MAX:
-                    v = LLR_MAX
-                elif v < -LLR_MAX:
-                    v = -LLR_MAX
-                out[b * block + j] = v
-        return out
-
-    @njit(cache=True)
-    def blockwise_loo_boxplus_numba(llr, block):
-        n = llr.size
-        out = np.empty(n)
-        pre = np.empty(block + 1)
-        suf = np.empty(block + 1)
-        for b in range(n // block):
-            pre[0] = _BP_IDENT
-            suf[block] = _BP_IDENT
-            for j in range(block):
-                pre[j + 1] = _bp(pre[j], llr[b * block + j])
-            for j in range(block - 1, -1, -1):
-                suf[j] = _bp(suf[j + 1], llr[b * block + j])
-            for j in range(block):
-                v = _bp(pre[j], suf[j + 1])
-                if v > LLR_MAX:
-                    v = LLR_MAX
-                elif v < -LLR_MAX:
-                    v = -LLR_MAX
-                out[b * block + j] = v
-        return out
-
-
-    CODE_RC = 0
-    CODE_SPC = 1
-
-    @njit(cache=True)
-    def _loo_rows(stack, out):
-        """Row-wise leave-one-out boxplus: out[r] = boxplus of all stack
-        rows except r. Contiguous row sweeps for cache friendliness."""
-        m, n = stack.shape
-        pre = np.empty((m + 1, n))
-        suf = np.empty((m + 1, n))
-        for j in range(n):
-            pre[0, j] = _BP_IDENT
-            suf[m, j] = _BP_IDENT
-        for r in range(m):
-            for j in range(n):
-                pre[r + 1, j] = _bp(pre[r, j], stack[r, j])
-        for r in range(m - 1, -1, -1):
-            for j in range(n):
-                suf[r, j] = _bp(suf[r + 1, j], stack[r, j])
-        for r in range(m):
-            for j in range(n):
-                v = _bp(pre[r, j], suf[r + 1, j])
-                if v > LLR_MAX:
-                    v = LLR_MAX
-                elif v < -LLR_MAX:
-                    v = -LLR_MAX
-                out[r, j] = v
-
-    @njit(cache=True)
-    def _plus_update_numba(e2p, p2e, lch, s):
-        mp1 = e2p.shape[1]
-        n = e2p.shape[2]
-        stack = np.empty((mp1 + 1, n))
-        out = np.empty((mp1 + 1, n))
-        for j in range(n):
-            stack[0, j] = lch[s, j]
-        for i in range(mp1):
-            t = s - i
-            if t >= 0:
-                for j in range(n):
-                    stack[i + 1, j] = e2p[t, i, j]
-            else:
-                for j in range(n):
-                    stack[i + 1, j] = LLR_MAX
-        _loo_rows(stack, out)
-        for i in range(mp1):
-            t = s - i
-            if t >= 0:
-                for j in range(n):
-                    p2e[t, i, j] = out[i + 1, j]
-
-    @njit(cache=True)
-    def _eq_update_numba(e2p, p2e, perms, invs, t, kind, block):
-        mp1 = e2p.shape[1]
-        n = e2p.shape[2]
-        a = np.empty((mp1, n))
-        s_in = np.zeros(n)
-        for i in range(mp1):
-            inv = invs[i]
-            for j in range(n):
-                a[i, j] = p2e[t, i, inv[j]]
-                s_in[j] += a[i, j]
-        for j in range(n):
-            if s_in[j] > LLR_MAX:
-                s_in[j] = LLR_MAX
-            elif s_in[j] < -LLR_MAX:
-                s_in[j] = -LLR_MAX
-        if kind == CODE_RC:
-            ext = blockwise_loo_sum_numba(s_in, block)
-        else:
-            ext = blockwise_loo_boxplus_numba(s_in, block)
-        for i in range(mp1):
-            perm = perms[i]
-            for j in range(n):
-                pj = perm[j]
-                v = ext[pj] + s_in[pj] - a[i, pj]
-                if v > LLR_MAX:
-                    v = LLR_MAX
-                elif v < -LLR_MAX:
-                    v = -LLR_MAX
-                e2p[t, i, j] = v
-
-    @njit(cache=True)
-    def swd_sweep_numba(e2p, p2e, lch, perms, invs, lo, hi, n_data, kind, block):
-        """One forward+backward window sweep, fully fused. Layers at
-        t >= n_data are pinned (zero tail) and skip their eq update."""
-        for s in range(lo, hi + 1):
-            _plus_update_numba(e2p, p2e, lch, s)
-            if s < n_data:
-                _eq_update_numba(e2p, p2e, perms, invs, s, kind, block)
-        for s in range(hi, lo - 1, -1):
-            _plus_update_numba(e2p, p2e, lch, s)
-            if s < n_data:
-                _eq_update_numba(e2p, p2e, perms, invs, s, kind, block)
-
-
-# ---------------------------------------------------------------------------
-# active implementations
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    boxplus = boxplus_numba
-
-    def leave_one_out_boxplus(stack):
-        return leave_one_out_boxplus_numba(np.ascontiguousarray(stack, dtype=np.float64))
-
-    def blockwise_loo_sum(llr, block):
-        return blockwise_loo_sum_numba(np.ascontiguousarray(llr, dtype=np.float64), block)
-
-    def blockwise_loo_boxplus(llr, block):
-        return blockwise_loo_boxplus_numba(np.ascontiguousarray(llr, dtype=np.float64), block)
-else:
-    boxplus = boxplus_numpy
-    leave_one_out_boxplus = leave_one_out_boxplus_numpy
-    blockwise_loo_sum = blockwise_loo_sum_numpy
-    blockwise_loo_boxplus = blockwise_loo_boxplus_numpy
-
-
-def boxplus_scalar(a, b):
-    """Scalar boxplus, exact formula. Mostly for tests and small oracles."""
-    return float(boxplus_numpy(np.float64(a), np.float64(b)))
+    return leave_one_out_boxplus(x).T.reshape(llr.shape)

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .codes import code_extrinsic_llr
-from .kernels import LLR_MAX, leave_one_out_boxplus
+from .kernels import LLR_MAX, clamp, leave_one_out_boxplus
 
 
 def binary_entropy_from_llr(llr):
@@ -71,58 +70,49 @@ class WindowDecoder:
         self.e2p = np.zeros((T, m + 1, n))
         self.e2p[sys.L:] = LLR_MAX  # zero tail known
         self.p2e = np.zeros((T, m + 1, n))
-        kind = sys.basic.short.kind
-        self._fused_kind = ({"rc": 0, "spc": 1}.get(kind)
-                            if kernels.NUMBA_ENABLED else None)
+        self._branches = np.arange(m + 1)
+        # interleavers as flat indices into one layer's (m+1, n) messages,
+        # so a single fancy index moves all m+1 branches
+        il, offsets = sys.interleavers, n * self._branches[:, None]
+        self._inv_flat = il.invs + offsets
+        self._perm_flat = il.perms + offsets
 
     # -- node updates -------------------------------------------------------
 
     def _update_plus(self, s):
-        sys = self.sys
-        m, n = sys.m, sys.n
-        stack = np.empty((m + 2, n))
+        stack = np.empty((self.sys.m + 2, self.sys.n))
+        i = self._branches[:s + 1]  # branches whose source layer s-i exists
+        k = len(i)
         stack[0] = self.lch[s]
-        for i in range(m + 1):
-            stack[i + 1] = self.e2p[s - i, i] if s - i >= 0 else LLR_MAX
+        stack[1:k + 1] = self.e2p[s - i, i]
+        stack[k + 1:] = LLR_MAX
         out = leave_one_out_boxplus(stack)
-        for i in range(m + 1):
-            if s - i >= 0:
-                self.p2e[s - i, i] = out[i + 1]
+        self.p2e[s - i, i] = out[1:k + 1]
+
+    def _gather(self, t):
+        """De-permuted p2e messages of layer t, (m+1, n), and their clamped sum."""
+        a = self.p2e[t].reshape(-1)[self._inv_flat]
+        return a, clamp(a.sum(axis=0))
 
     def _update_eq_code(self, t):
         sys = self.sys
         if not 0 <= t < sys.L:
             return  # tail layers stay pinned
-        perms, invs = sys.interleavers.perms, sys.interleavers.invs
-        m = sys.m
-        a = np.empty((m + 1, sys.n))
-        for i in range(m + 1):
-            a[i] = self.p2e[t, i][invs[i]]
-        s_in = np.clip(a.sum(axis=0), -LLR_MAX, LLR_MAX)
+        a, s_in = self._gather(t)
         ext = code_extrinsic_llr(sys.basic.short, s_in)
-        for i in range(m + 1):
-            msg = np.clip(ext + s_in - a[i], -LLR_MAX, LLR_MAX)
-            self.e2p[t, i] = msg[perms[i]]
+        msg = clamp((ext + s_in) - a)
+        self.e2p[t] = msg.reshape(-1)[self._perm_flat]
 
     def _app(self, t):
         """Full APP LLRs on the intermediate codeword bits of layer t."""
-        sys = self.sys
-        invs = sys.interleavers.invs
-        a = sum(self.p2e[t, i][invs[i]] for i in range(sys.m + 1))
-        s_in = np.clip(a, -LLR_MAX, LLR_MAX)
-        ext = code_extrinsic_llr(sys.basic.short, s_in)
-        return np.clip(s_in + ext, -LLR_MAX, LLR_MAX)
+        _, s_in = self._gather(t)
+        ext = code_extrinsic_llr(self.sys.basic.short, s_in)
+        return clamp(s_in + ext)
 
     # -- window schedule ----------------------------------------------------
 
     def _iterate(self, lo, hi):
         """One forward + backward sweep across window layers [lo, hi]."""
-        if self._fused_kind is not None:
-            il = self.sys.interleavers
-            kernels.swd_sweep_numba(self.e2p, self.p2e, self.lch,
-                                    il.perms, il.invs, lo, hi, self.sys.L,
-                                    self._fused_kind, self.sys.basic.short.N)
-            return
         for s in range(lo, hi + 1):
             self._update_plus(s)
             self._update_eq_code(s)
@@ -152,10 +142,8 @@ class WindowDecoder:
         v_hat = hard_decision(app)
         w_tilde = hard_decision(self.e2p[te])  # extrinsic branch messages
         # decision feedback: pin the emitted layer for later windows
-        perms = sys.interleavers.perms
         pin = LLR_MAX * (1.0 - 2.0 * v_hat)
-        for i in range(sys.m + 1):
-            self.e2p[te, i] = pin[perms[i]]
+        self.e2p[te] = pin[sys.interleavers.perms]
         return u_hat, v_hat, w_tilde, iters
 
     def _msg_llr(self, app):

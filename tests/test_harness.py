@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 
 import numpy as np
@@ -146,3 +148,66 @@ def test_predict_floor_validates_and_computes():
     assert 0 < val < 1e-15
     with pytest.raises(ValueError):
         predict_floor("RC[2,1]^5000", 30, 0.6, 0.5)
+
+
+def test_content_hash_ignores_workers_and_names_the_kernel(monkeypatch):
+    assert small_cfg(workers=1).content_hash() == small_cfg(workers=2).content_hash()
+    base = small_cfg().content_hash()
+    monkeypatch.setattr("bmst.harness.KERNEL_ID", "pairwise")
+    assert small_cfg().content_hash() != base
+
+
+def test_sweep_resumes_with_another_worker_count(tmp_path):
+    out = tmp_path / "r.csv"
+    run_sweep(small_cfg(ebn0_grid_db=(2.0, 3.0), min_bit_errors=10), out_csv=out)
+    before = out.read_bytes()
+    again = run_sweep(small_cfg(ebn0_grid_db=(2.0, 3.0), min_bit_errors=10,
+                                workers=2), out_csv=out)
+    assert again == []
+    assert out.read_bytes() == before
+
+
+def test_sweep_refuses_results_of_another_kernel(tmp_path, monkeypatch):
+    cfg = small_cfg(ebn0_grid_db=(2.0,), min_bit_errors=10)
+    out = tmp_path / "r.csv"
+    run_sweep(cfg, out_csv=out)
+    sidecar = tmp_path / "r.config.json"
+    stored = json.loads(sidecar.read_text())
+    # the identity a sidecar carried before the kernel was part of it
+    old = hashlib.sha256(json.dumps(cfg.to_dict()).encode()).hexdigest()
+    sidecar.write_text(json.dumps(dict(stored, content_hash=old)))
+    with pytest.raises(ConfigError):
+        run_sweep(cfg, out_csv=out)
+    sidecar.write_text(json.dumps(stored))
+    monkeypatch.setattr("bmst.harness.KERNEL_ID", "pairwise")
+    with pytest.raises(ConfigError):
+        run_sweep(cfg, out_csv=out)
+
+
+def test_sweep_resume_matches_grid_values_exactly(tmp_path):
+    cfg = small_cfg(ebn0_grid_db=(2.1234567, 3.0), min_bit_errors=10)
+    out = tmp_path / "r.csv"
+    run_sweep(cfg, out_csv=out)
+    assert run_sweep(cfg, out_csv=out) == []
+    assert run_sweep(cfg, out_csv=out) == []
+    rows = list(csv.DictReader(out.open(newline="")))
+    assert [float(r["ebn0_db"]) for r in rows] == [2.1234567, 3.0]
+
+
+def test_sweep_reruns_a_truncated_last_row(tmp_path):
+    cfg = small_cfg(ebn0_grid_db=(2.0, 3.0), min_bit_errors=10)
+    ref, out = tmp_path / "ref.csv", tmp_path / "r.csv"
+    run_sweep(cfg, out_csv=ref)
+    run_sweep(cfg, out_csv=out)
+    complete = out.read_bytes()
+    cut = complete[:complete.rindex(b"\n", 0, -1) + 1]
+    for partial in (b"3.0,gad_perfect,400", b"3.0,gad_perfect,400\r\n"):
+        out.write_bytes(cut + partial)
+        again = run_sweep(cfg, out_csv=out)
+        assert [r.ebn0_db for r in again] == [3.0]
+        assert out.read_bytes() == ref.read_bytes()
+    # a short row that is not the last one was not left by a crash
+    lines = complete.splitlines(keepends=True)
+    out.write_bytes(lines[0] + b"2.0,gad_perfect,400\r\n" + lines[2])
+    with pytest.raises(ConfigError, match="r.csv line 2"):
+        run_sweep(cfg, out_csv=out)

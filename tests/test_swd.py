@@ -1,5 +1,6 @@
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,28 @@ from bmst.channel import channel_llr, ebn0_to_sigma, transmit
 from bmst.codes import code_app_llr
 from bmst.coupling import true_branch_words
 from bmst.kernels import (LLR_MAX, boxplus_numpy, boxplus_scalar,
-                          leave_one_out_boxplus_numpy)
+                          leave_one_out_boxplus, phi)
 from bmst.swd import (WindowDecoder, binary_entropy_from_llr,
                       decode_frame_swd, hard_decision)
+from bmst.tpd import TpdConfig, decode_frame_tpd
+
+# identity element for pairwise boxplus chains; large enough that the
+# correction terms vanish, small enough that sums of a few do not overflow
+BP_IDENT = 1e30
+
+
+def pairwise_loo_boxplus(stack):
+    """Leave-one-out boxplus as chained pairwise boxplus_numpy calls over
+    exclusive prefixes and suffixes: the exact oracle for the kernel."""
+    stack = np.asarray(stack, dtype=np.float64)
+    m, n = stack.shape
+    pre = np.full((m + 1, n), BP_IDENT)
+    suf = np.full((m + 1, n), BP_IDENT)
+    for i in range(m):
+        pre[i + 1] = boxplus_numpy(pre[i], stack[i])
+    for i in range(m - 1, -1, -1):
+        suf[i] = boxplus_numpy(suf[i + 1], stack[i])
+    return np.clip(boxplus_numpy(pre[:m], suf[1:]), -LLR_MAX, LLR_MAX)
 
 
 def xor_extrinsic_oracle(llrs):
@@ -41,14 +61,14 @@ def test_boxplus_matches_enumeration(llrs):
 
 def test_boxplus_identity_and_zero():
     assert boxplus_scalar(0.0, 5.0) == 0.0
-    big = boxplus_scalar(kernels._BP_IDENT, 3.25)
+    big = boxplus_scalar(BP_IDENT, 3.25)
     assert big == pytest.approx(3.25, abs=1e-9)
 
 
 def test_leave_one_out_boxplus_matches_direct():
     rng = np.random.default_rng(0)
     stack = rng.normal(0, 4, size=(5, 30))
-    out = leave_one_out_boxplus_numpy(stack)
+    out = leave_one_out_boxplus(stack)
     for i in range(5):
         rest = [stack[j] for j in range(5) if j != i]
         ref = rest[0]
@@ -57,20 +77,59 @@ def test_leave_one_out_boxplus_matches_direct():
         assert np.allclose(out[i], np.clip(ref, -LLR_MAX, LLR_MAX), atol=1e-9)
 
 
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba path disabled")
-def test_numba_kernels_match_numpy():
-    # numpy's vectorized exp and libm's exp can differ in the last ulp, so
-    # the two implementations agree to ~1e-13 rather than bit-for-bit
-    rng = np.random.default_rng(1)
-    stack = np.ascontiguousarray(rng.normal(0, 6, size=(7, 64)))
-    assert np.allclose(kernels.leave_one_out_boxplus_numba(stack),
-                       leave_one_out_boxplus_numpy(stack), rtol=0, atol=1e-12)
-    llr = np.ascontiguousarray(rng.normal(0, 6, size=64))
-    assert np.array_equal(kernels.blockwise_loo_sum_numba(llr, 2),
-                          kernels.blockwise_loo_sum_numpy(llr, 2))
-    assert np.allclose(kernels.blockwise_loo_boxplus_numba(llr, 4),
-                       kernels.blockwise_loo_boxplus_numpy(llr, 4),
+@pytest.mark.parametrize("rows", [1, 2, 4, 10, 32])
+def test_loo_kernel_matches_pairwise_oracle(rows):
+    rng = np.random.default_rng(rows)
+    for scale in (1.0, 3.0, 10.0, 30.0):
+        stack = rng.normal(0, scale, size=(rows, 200))
+        # exact zeros (phi = inf), pinned layers, and a tiny magnitude
+        # whose phi (about 691) swamps every other term
+        at = rng.choice(stack.size, size=30, replace=False)
+        stack.flat[at] = rng.choice([0.0, 40.0, -40.0, 1e-300, -1e-300], size=30)
+        assert np.allclose(leave_one_out_boxplus(stack), pairwise_loo_boxplus(stack),
+                           rtol=0, atol=1e-12)
+    llr = rng.normal(0, 6, size=64)
+    assert np.allclose(kernels.blockwise_loo_boxplus(llr, 4),
+                       pairwise_loo_boxplus(llr.reshape(-1, 4).T).T.reshape(-1),
                        rtol=0, atol=1e-12)
+
+
+def test_phi_matches_mpmath():
+    # up to x = 708, where phi is still a normal double
+    xs = np.concatenate([np.logspace(-300, 2.85, 400), np.linspace(0.01, 50, 400)])
+    with mpmath.workdps(40):
+        for x, v in zip(xs, phi(xs)):
+            ref = mpmath.log1p(2 / mpmath.expm1(mpmath.mpf(float(x))))
+            assert abs(mpmath.mpf(float(v)) - ref) <= 1e-15 * ref
+    assert phi(np.float64(0.0)) == np.inf and phi(np.float64(np.inf)) == 0.0
+    assert phi(np.float64(1e30)) == 0.0  # underflows, like the true value
+
+
+@pytest.mark.parametrize("spec", ["RC[2,1]^40", "SPC[4,3]^30"])
+@pytest.mark.parametrize("m", [0, 3])
+def test_frames_match_with_pairwise_oracle_kernel(monkeypatch, spec, m):
+    """Seeded SWD and TPD frames decide the same with the phi kernel and
+    with the pairwise oracle in its place."""
+    L = 8
+    sys_ = bmst.make_system(spec, m=m, L=L, seed=5)
+    rng = np.random.default_rng(6)
+    msgs = rng.integers(0, 2, (L, sys_.k), dtype=np.uint8)
+    sigma = ebn0_to_sigma(2.0, sys_.basic.rate)
+    y = transmit(bmst.bpsk_map(bmst.encode_frame(sys_, msgs)), sigma, rng)
+    d = max(3 * m, 2)
+
+    def decode():
+        swd = decode_frame_swd(sys_, channel_llr(y, sigma), d=d, i_max=8)
+        tpd = decode_frame_tpd(sys_, y, sigma, TpdConfig(d=d, i_max=8))
+        return [(r.u_hat, r.w_tilde, r.iterations) for r in (swd, tpd)]
+
+    fast = decode()
+    monkeypatch.setattr("bmst.swd.leave_one_out_boxplus", pairwise_loo_boxplus)
+    monkeypatch.setattr("bmst.kernels.leave_one_out_boxplus", pairwise_loo_boxplus)
+    oracle = decode()
+    for got, ref in zip(fast, oracle):
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
 
 
 def test_hard_decision_sign_and_ties():
@@ -110,27 +169,6 @@ def test_memory_zero_reduces_to_basic_code_map():
         app = code_app_llr(sys_.basic.short, llr[t])
         ref = hard_decision(app).reshape(10, 4)[:, :3].reshape(-1)
         assert np.array_equal(res.u_hat[t], ref)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba path disabled")
-def test_fused_sweep_matches_python_schedule():
-    sys_ = bmst.make_system("RC[2,1]^40", m=3, L=8, seed=5)
-    rng = np.random.default_rng(6)
-    msgs = rng.integers(0, 2, (8, sys_.k), dtype=np.uint8)
-    sigma = ebn0_to_sigma(1.5, 0.5)
-    y = transmit(bmst.bpsk_map(bmst.encode_frame(sys_, msgs)), sigma, rng)
-    llr = channel_llr(y, sigma)
-
-    fused = WindowDecoder(sys_, llr, d=6, i_max=4)
-    plain = WindowDecoder(sys_, llr, d=6, i_max=4)
-    plain._fused_kind = None  # force the pure-python node updates
-    for te in range(sys_.L):
-        out_f = fused.decode_step(te)
-        out_p = plain.decode_step(te)
-        assert np.array_equal(fused.e2p, plain.e2p)
-        assert np.array_equal(fused.p2e, plain.p2e)
-        for a, b in zip(out_f, out_p):
-            assert np.array_equal(a, b)
 
 
 def test_cold_start_option_still_decodes_noiseless():
