@@ -1,22 +1,49 @@
 """Sliding-window iterative decoding over the coupled normal graph.
 
-Message bookkeeping (all LLR arrays of length n, permuted domain means the
-bit order seen by the superposition node of the receiving layer):
+Message bookkeeping, indexed by the superposition (plus) node of layer s
+that sends or receives (arrays of length n, in the bit order that node
+sees; branch i connects it to the replication node of layer s-i, whose bit
+order differs by perms[i]):
 
-  e2p[t, i] : replication node of layer t -> superposition node of layer
-              t+i, permuted by perms[i].
-  p2e[t, i] : the reverse message, stored in the same permuted domain and
-              de-permuted at the replication node.
+  e2p[s]       : the plus node's whole input stack, in the phi domain of
+                 kernels.llr_to_phi, which its kernel takes. Row 0 is the
+                 channel, row 1+i the message from layer s-i. The channel,
+                 padding (s-i < 0) and tail rows are written once per frame.
+  p2e[s, i]    : the plus node's LLR message to layer s-i.
 
-Superposition node at layer s combines the channel LLR of c^(s) with
-e2p[s-i, i] (i = 0..m) under the XOR constraint (leave-one-out boxplus).
-The replication node of layer t adds the de-permuted p2e[t, *] messages and
-runs the basic code's extrinsic SISO blockwise.
+The plus node of layer s combines the channel LLR of c^(s) with its m+1
+branch messages under the XOR constraint (leave-one-out boxplus). The
+replication node of layer t adds its de-permuted messages p2e[t+i, i] and
+runs the basic code's extrinsic SISO blockwise; its outgoing messages go to
+e2p[t+i, 1+i].
 
 Layers at t >= L (zero tail) are pinned at +LLR_MAX; so are layers already
 emitted by the window (decision feedback). Surviving layers keep their
 messages when the window slides (warm start); entering layers start
 uniform.
+
+Each iteration on the window [te, hi] is a forward sweep (plus node, then
+replication node, at s = te..hi) and a backward sweep (s = hi..te). A node
+computes only the messages that some node reads before they are
+overwritten:
+
+  forward plus(s)   branch 0, which eq(s) reads next. Branch i >= 1 goes
+                    to eq(s-i), which has already run in this sweep and
+                    runs again only after the backward plus(s) has
+                    rewritten it. For s >= L branch 0 is a tail layer, so
+                    the node is skipped.
+  backward plus(s)  branches i with te <= s-i < L. Pinned and tail layers
+                    never run their replication node again.
+  forward eq(t)     branches i with t+i <= hi, which plus(t+i) reads in
+                    both sweeps. A plus node beyond hi runs only in a later
+                    window, after eq(t) has written again.
+  backward eq(t)    branch 0, which the next forward plus(t) reads. The
+                    other branches reach plus(t+i) only after the next
+                    forward eq(t).
+
+The emitted layer's branch decisions w_tilde are the signs of the messages
+its replication node sends from the final state, computed as LLRs: the
+phi domain maps a zero and a subnormal message alike to an infinity.
 """
 
 from dataclasses import dataclass
@@ -24,7 +51,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import code_extrinsic_llr
-from .kernels import LLR_MAX, clamp, leave_one_out_boxplus
+from .kernels import LLR_MAX, clamp, leave_one_out_boxplus, llr_to_phi, phi
+
+# e2p holds phi-domain messages (kernels.llr_to_phi): a uniform (zero)
+# message is phi(0) = inf, a known bit is phi(LLR_MAX) with its sign
+_PHI_UNIFORM = np.inf
+_PHI_MAX = float(phi(LLR_MAX))
 
 
 def binary_entropy_from_llr(llr):
@@ -61,89 +93,94 @@ class WindowDecoder:
         if d < 0 or i_max < 1:
             raise ValueError("need d >= 0 and i_max >= 1")
         self.sys = sys
-        self.lch = llrs
         self.d = d
         self.i_max = i_max
         self.stop_threshold = stop_threshold
         self.warm_start = warm_start
-        m, n = sys.m, sys.n
-        self.e2p = np.zeros((T, m + 1, n))
-        self.e2p[sys.L:] = LLR_MAX  # zero tail known
+        m, n, L = sys.m, sys.n, sys.L
+        self.e2p = np.full((T, m + 2, n), _PHI_UNIFORM)
+        self.e2p[:, 0] = llr_to_phi(llrs)
+        for i in range(m + 1):
+            self.e2p[:i, i + 1] = _PHI_MAX      # no source layer s-i < 0
+            self.e2p[L + i:, i + 1] = _PHI_MAX  # zero tail known
         self.p2e = np.zeros((T, m + 1, n))
-        self._branches = np.arange(m + 1)
-        # interleavers as flat indices into one layer's (m+1, n) messages,
-        # so a single fancy index moves all m+1 branches
-        il, offsets = sys.interleavers, n * self._branches[:, None]
-        self._inv_flat = il.invs + offsets
-        self._perm_flat = il.perms + offsets
+        # the m+1 messages of the replication node of layer t as flat
+        # offsets from the start of layer t, in its own bit order: branch i
+        # sits i layers further on, bit k at position invs[i, k]
+        branches = np.arange(m + 1)[:, None]
+        il = sys.interleavers
+        self._p2e_at = il.invs + (m + 2) * n * branches
+        self._e2p_at = il.invs + (m + 3) * n * branches + n
+        self._perm_flat = il.perms + n * branches
 
     # -- node updates -------------------------------------------------------
 
-    def _update_plus(self, s):
-        stack = np.empty((self.sys.m + 2, self.sys.n))
-        i = self._branches[:s + 1]  # branches whose source layer s-i exists
-        k = len(i)
-        stack[0] = self.lch[s]
-        stack[1:k + 1] = self.e2p[s - i, i]
-        stack[k + 1:] = LLR_MAX
-        out = leave_one_out_boxplus(stack)
-        self.p2e[s - i, i] = out[1:k + 1]
+    def _update_plus(self, s, first, last):
+        """Superposition node of layer s; writes its messages to the
+        replication nodes of layers s-i, first <= i <= last."""
+        self.p2e[s, first:last + 1] = leave_one_out_boxplus(self.e2p[s], first + 1, last + 2)
 
-    def _gather(self, t):
-        """De-permuted p2e messages of layer t, (m+1, n), and their clamped sum."""
-        a = self.p2e[t].reshape(-1)[self._inv_flat]
-        return a, clamp(a.sum(axis=0))
+    @staticmethod
+    def _from(a, t):
+        """a flattened from layer t on: the replication node of layer t has
+        its messages there at _p2e_at (in p2e) or _e2p_at (in e2p)."""
+        return a.reshape(-1)[a[0].size * t:]
 
-    def _update_eq_code(self, t):
-        sys = self.sys
-        if not 0 <= t < sys.L:
+    def _eq_inputs(self, t):
+        """De-permuted p2e messages of layer t, (m+1, n), their clamped sum,
+        and the basic code's extrinsic output on that sum."""
+        a = self._from(self.p2e, t)[self._p2e_at]
+        s_in = clamp(a.sum(axis=0))
+        return a, s_in, code_extrinsic_llr(self.sys.basic.short, s_in)
+
+    def _update_eq_code(self, t, count):
+        """Replication node of layer t; writes its messages on branches
+        i < count."""
+        if t >= self.sys.L:
             return  # tail layers stay pinned
-        a, s_in = self._gather(t)
-        ext = code_extrinsic_llr(sys.basic.short, s_in)
-        msg = clamp((ext + s_in) - a)
-        self.e2p[t] = msg.reshape(-1)[self._perm_flat]
-
-    def _app(self, t):
-        """Full APP LLRs on the intermediate codeword bits of layer t."""
-        _, s_in = self._gather(t)
-        ext = code_extrinsic_llr(self.sys.basic.short, s_in)
-        return clamp(s_in + ext)
+        a, s_in, ext = self._eq_inputs(t)
+        msg = clamp((ext + s_in) - a[:count])
+        self._from(self.e2p, t)[self._e2p_at[:count]] = llr_to_phi(msg)
 
     # -- window schedule ----------------------------------------------------
 
     def _iterate(self, lo, hi):
-        """One forward + backward sweep across window layers [lo, hi]."""
-        for s in range(lo, hi + 1):
-            self._update_plus(s)
-            self._update_eq_code(s)
+        """One forward + backward sweep across window layers [lo, hi],
+        computing only the messages that a later node reads."""
+        m, L = self.sys.m, self.sys.L
+        for s in range(lo, min(hi, L - 1) + 1):
+            self._update_plus(s, 0, 0)
+            self._update_eq_code(s, min(m, hi - s) + 1)
         for s in range(hi, lo - 1, -1):
-            self._update_plus(s)
-            self._update_eq_code(s)
+            self._update_plus(s, max(0, s - L + 1), min(m, s - lo))
+            self._update_eq_code(s, 1)
 
     def decode_step(self, te):
         """Run the window whose target (oldest) layer is te; emit it."""
         sys = self.sys
         lo, hi = te, min(te + self.d, sys.total_blocks - 1)
         if not self.warm_start:
-            self.e2p[lo:sys.L if hi >= sys.L else hi + 1] = 0.0
-            self.p2e[lo:hi + 1] = 0.0
+            for t in range(lo, min(hi + 1, sys.L)):
+                self._from(self.e2p, t)[self._e2p_at] = _PHI_UNIFORM
+                self._from(self.p2e, t)[self._p2e_at] = 0.0
         prev_ent = np.inf
         iters = 0
         for _ in range(self.i_max):
             self._iterate(lo, hi)
             iters += 1
-            app = self._app(te)
+            a, s_in, ext = self._eq_inputs(te)
+            app = clamp(s_in + ext)  # full APP on layer te's codeword bits
             ent = binary_entropy_from_llr(self._msg_llr(app))
             if ent < self.stop_threshold or ent >= prev_ent:
                 break
             prev_ent = ent
-        app = self._app(te)
         u_hat = hard_decision(self._msg_llr(app))
         v_hat = hard_decision(app)
-        w_tilde = hard_decision(self.e2p[te])  # extrinsic branch messages
+        # extrinsic branch messages of layer te, as its replication node
+        # would send them from this state
+        w_tilde = hard_decision(((ext + s_in) - a).reshape(-1)[self._perm_flat])
         # decision feedback: pin the emitted layer for later windows
-        pin = LLR_MAX * (1.0 - 2.0 * v_hat)
-        self.e2p[te] = pin[sys.interleavers.perms]
+        self._from(self.e2p, te)[self._e2p_at] = _PHI_MAX * (1.0 - 2.0 * v_hat)
         return u_hat, v_hat, w_tilde, iters
 
     def _msg_llr(self, app):
