@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -13,23 +14,7 @@ from .codes import CodeError, compute_iowef, make_repetition, make_spc, parse_co
 
 SCHEMA_VERSION = 1
 
-CONFIG_FIELDS = {
-    "schema_version": int,
-    "code": str,
-    "m": int,
-    "L": int,
-    "decoder": str,
-    "ebn0_grid_db": list,
-    "d": int,
-    "i_max": int,
-    "p_genie": float,
-    "min_bit_errors": int,
-    "max_bits": int,
-    "max_seconds": float,
-    "seed": int,
-    "workers": int,
-    "stop_threshold": float,
-}
+CONFIG_FIELDS = ("schema_version", *(f.name for f in dataclasses.fields(harness.SimConfig)))
 REQUIRED_FIELDS = ("schema_version", "code", "m", "L", "decoder", "ebn0_grid_db")
 
 
@@ -173,10 +158,8 @@ def cmd_simulate(args):
 def cmd_predict(args):
     if not 0.0 < args.p1 < 0.5:
         raise UsageError("p_I must be in (0, 0.5)")
-    cart = parse_code_spec(args.spec)
-    iowef = compute_iowef(cart.short)
-    pred = analysis.genie_bound(iowef, args.m, args.p1, args.ebn0)
-    lb = analysis.lower_bound(iowef, args.m, args.ebn0)
+    pred = harness.predict_floor(args.spec, args.m, args.p1, args.ebn0)
+    lb = analysis.lower_bound(compute_iowef(parse_code_spec(args.spec).short), args.m, args.ebn0)
     print(f"predicted p_II  {pred:.3e}")
     print(f"lower bound     {lb:.3e}")
     return 0

@@ -23,23 +23,37 @@ messages when the window slides (warm start); entering layers start
 uniform.
 
 Each iteration on the window [te, hi] is a forward sweep (plus node, then
-replication node, at s = te..hi) and a backward sweep (s = hi..te). A node
-computes only the messages that some node reads before they are
-overwritten:
+replication node, at s = te..hi) and a backward sweep of plus nodes
+(s = hi..te+1); the stop check then takes the APP of layer te from p2e. A
+node computes only the messages that some node reads before they are
+overwritten, and each line below says why the others are dead:
 
+  forward plus(te)  branch 0, once per window, before the first sweep. Its
+                    input rows 0 and 2..m+1 hold the channel and pinned
+                    layers, and row 1 is left out, so the message is fixed
+                    for the window. Branches i >= 1 go to pinned layers.
   forward plus(s)   branch 0, which eq(s) reads next. Branch i >= 1 goes
-                    to eq(s-i), which has already run in this sweep and
+    s > te          to eq(s-i), which has already run in this sweep and
                     runs again only after the backward plus(s) has
                     rewritten it. For s >= L branch 0 is a tail layer, so
                     the node is skipped.
-  backward plus(s)  branches i with te <= s-i < L. Pinned and tail layers
-                    never run their replication node again.
+  forward eq(te)    branches 1 <= i <= min(m, hi-te). Branch 0 goes to row
+                    1 of plus(te), which the one message of plus(te) that
+                    is read leaves out.
   forward eq(t)     branches i with t+i <= hi, which plus(t+i) reads in
-                    both sweeps. A plus node beyond hi runs only in a later
+    t > te          both sweeps. A plus node beyond hi runs only in a later
                     window, after eq(t) has written again.
-  backward eq(t)    branch 0, which the next forward plus(t) reads. The
-                    other branches reach plus(t+i) only after the next
-                    forward eq(t).
+  backward plus(s)  branches i >= 1 with te <= s-i < L. Pinned and tail
+    s > te          layers never run their replication node again, and
+                    branch 0 is rewritten by the next forward plus(s)
+                    before eq(s) reads it.
+  backward plus(te) skipped. Its only live message, branch 0, equals what
+                    the forward plus(te) wrote: the same inputs and rows.
+  backward eq(t)    skipped. Its only live message would be branch 0, to
+                    row 1 of plus(t). The backward plus(t) has run; the
+                    forward plus(t) leaves row 1 out (its magnitude enters
+                    no chain and its sign bit cancels in the XOR); and the
+                    forward eq(t) rewrites it before the backward plus(t).
 
 The emitted layer's branch decisions w_tilde are the signs of the messages
 its replication node sends from the final state, computed as LLRs: the
@@ -118,7 +132,8 @@ class WindowDecoder:
     def _update_plus(self, s, first, last):
         """Superposition node of layer s; writes its messages to the
         replication nodes of layers s-i, first <= i <= last."""
-        self.p2e[s, first:last + 1] = leave_one_out_boxplus(self.e2p[s], first + 1, last + 2)
+        if first <= last:
+            self.p2e[s, first:last + 1] = leave_one_out_boxplus(self.e2p[s], first + 1, last + 2)
 
     @staticmethod
     def _from(a, t):
@@ -133,40 +148,42 @@ class WindowDecoder:
         s_in = clamp(a.sum(axis=0))
         return a, s_in, code_extrinsic_llr(self.sys.basic.short, s_in)
 
-    def _update_eq_code(self, t, count):
-        """Replication node of layer t; writes its messages on branches
-        i < count."""
-        if t >= self.sys.L:
-            return  # tail layers stay pinned
+    def _update_eq_code(self, t, first, count):
+        """Replication node of layer t < L; writes its messages on branches
+        first <= i < count."""
+        if first >= count:
+            return
         a, s_in, ext = self._eq_inputs(t)
-        msg = clamp((ext + s_in) - a[:count])
-        self._from(self.e2p, t)[self._e2p_at[:count]] = llr_to_phi(msg)
+        msg = clamp((ext + s_in) - a[first:count])
+        self._from(self.e2p, t)[self._e2p_at[first:count]] = llr_to_phi(msg)
 
     # -- window schedule ----------------------------------------------------
 
-    def _iterate(self, lo, hi):
-        """One forward + backward sweep across window layers [lo, hi],
-        computing only the messages that a later node reads."""
+    def _iterate(self, te, hi):
+        """One forward + backward sweep across window layers [te, hi],
+        computing only the messages that a later node reads. The forward
+        plus(te) runs once per window, in decode_step."""
         m, L = self.sys.m, self.sys.L
-        for s in range(lo, min(hi, L - 1) + 1):
+        self._update_eq_code(te, 1, min(m, hi - te) + 1)
+        for s in range(te + 1, min(hi, L - 1) + 1):
             self._update_plus(s, 0, 0)
-            self._update_eq_code(s, min(m, hi - s) + 1)
-        for s in range(hi, lo - 1, -1):
-            self._update_plus(s, max(0, s - L + 1), min(m, s - lo))
-            self._update_eq_code(s, 1)
+            self._update_eq_code(s, 0, min(m, hi - s) + 1)
+        for s in range(hi, te, -1):
+            self._update_plus(s, max(1, s - L + 1), min(m, s - te))
 
     def decode_step(self, te):
         """Run the window whose target (oldest) layer is te; emit it."""
         sys = self.sys
-        lo, hi = te, min(te + self.d, sys.total_blocks - 1)
+        hi = min(te + self.d, sys.total_blocks - 1)
         if not self.warm_start:
-            for t in range(lo, min(hi + 1, sys.L)):
+            for t in range(te, min(hi + 1, sys.L)):
                 self._from(self.e2p, t)[self._e2p_at] = _PHI_UNIFORM
                 self._from(self.p2e, t)[self._p2e_at] = 0.0
+        self._update_plus(te, 0, 0)  # fixed for the window; see the schedule
         prev_ent = np.inf
         iters = 0
         for _ in range(self.i_max):
-            self._iterate(lo, hi)
+            self._iterate(te, hi)
             iters += 1
             a, s_in, ext = self._eq_inputs(te)
             app = clamp(s_in + ext)  # full APP on layer te's codeword bits

@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from bmst.cli import main, parse_grid, parse_rate, short_code_for, UsageError
+from bmst.cli import (load_config, main, parse_grid, parse_rate, short_code_for,
+                      UsageError)
+from bmst.harness import SimConfig
 
 
 def test_parse_rate():
@@ -95,6 +98,15 @@ def test_simulate_command(tmp_path, capsys):
     assert (tmp_path / "res.config.json").exists()
     # resume run: nothing left to do, still exits cleanly
     assert main(["simulate", str(cfgp), "--out", str(out), "--seed", "3"]) == 0
+
+
+def test_config_naming_every_field_loads(tmp_path):
+    cfgp = _write_config(tmp_path / "cfg.json", d=2, i_max=5, p_genie=0.1,
+                         max_seconds=3.0, seed=4, workers=1, stop_threshold=1e-4)
+    doc = json.loads(cfgp.read_text())
+    doc.pop("schema_version")
+    assert set(doc) == {f.name for f in dataclasses.fields(SimConfig)}
+    assert load_config(cfgp).to_dict() == doc
 
 
 def test_simulate_rejects_unknown_field(tmp_path):

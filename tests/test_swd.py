@@ -288,26 +288,75 @@ class FullScheduleDecoder:
         return hard_decision(self.msg_llr(app)), v_hat, w_tilde, iters
 
 
-@pytest.mark.parametrize("spec", ["RC[2,1]^30", "SPC[4,3]^12"])
-@pytest.mark.parametrize("m,d,warm_start,i_max", [
+SCHEDULE_SPECS = ["RC[2,1]^30", "SPC[4,3]^12"]
+SCHEDULE_GRID = [  # m, d, warm_start, i_max
     (0, 2, True, 18), (1, 3, True, 18), (3, 6, True, 18), (8, 10, True, 18),
     (3, 1, True, 18), (8, 4, True, 18),    # d < m
     (1, 10, True, 18), (3, 11, True, 18),  # d > L
     (3, 6, False, 18), (8, 10, True, 1),
-])
-def test_live_message_schedule_matches_full_schedule(spec, m, d, warm_start, i_max):
-    L = 8
-    sys_ = bmst.make_system(spec, m=m, L=L, seed=m + d)
+    (3, 0, True, 18), (0, 0, True, 18),    # one-layer window
+    (8, 10, False, 18),  # plus(te) runs once per window, after the reset
+]
+SCHEDULE_L = 8
+
+
+def _schedule_frames(spec, m, d):
+    """The system and two seeded frames' channel LLRs of a schedule case."""
+    sys_ = bmst.make_system(spec, m=m, L=SCHEDULE_L, seed=m + d)
+    frames = []
     for ebn0 in (1.0, 2.0):
         rng = np.random.default_rng([m, d, int(10 * ebn0)])
-        msgs = rng.integers(0, 2, (L, sys_.k), dtype=np.uint8)
+        msgs = rng.integers(0, 2, (SCHEDULE_L, sys_.k), dtype=np.uint8)
         sigma = ebn0_to_sigma(ebn0, sys_.basic.rate)
         y = transmit(bmst.bpsk_map(bmst.encode_frame(sys_, msgs)), sigma, rng)
-        llr = channel_llr(y, sigma)
+        frames.append(channel_llr(y, sigma))
+    return sys_, frames
+
+
+@pytest.mark.parametrize("spec", SCHEDULE_SPECS)
+@pytest.mark.parametrize("m,d,warm_start,i_max", SCHEDULE_GRID)
+def test_live_message_schedule_matches_full_schedule(spec, m, d, warm_start, i_max):
+    L = SCHEDULE_L
+    sys_, frames = _schedule_frames(spec, m, d)
+    for llr in frames:
         res = decode_frame_swd(sys_, llr, d=d, i_max=i_max, warm_start=warm_start)
         ref = FullScheduleDecoder(sys_, llr, d, i_max, warm_start)
         for t in range(L):
             u_hat, v_hat, w_tilde, iters = ref.decode_step(t)
+            assert np.array_equal(res.u_hat[t], u_hat)
+            assert np.array_equal(res.v_hat[t], v_hat)
+            assert np.array_equal(res.w_tilde[t], w_tilde)
+            assert res.iterations[t] == iters
+
+
+class ScramblingDecoder(WindowDecoder):
+    """WindowDecoder that, after every sweep, overwrites with seeded random
+    values the messages the schedule takes to be dead: p2e[te+1..hi, 0]
+    (each rewritten by its forward plus node before eq reads it) and
+    e2p[te..min(hi, L-1), 1] (row 1 of a plus node, left out of every
+    message of it that is read before the forward eq rewrites it)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rng = np.random.default_rng(17)
+
+    def _iterate(self, te, hi):
+        super()._iterate(te, hi)
+        n, L = self.sys.n, self.sys.L
+        self.p2e[te + 1:hi + 1, 0] = self.rng.normal(0, 8, (hi - te, n))
+        rows = min(hi, L - 1) + 1 - te
+        self.e2p[te:te + rows, 1] = llr_to_phi(self.rng.normal(0, 8, (rows, n)))
+
+
+@pytest.mark.parametrize("spec", SCHEDULE_SPECS)
+@pytest.mark.parametrize("m,d,warm_start,i_max", SCHEDULE_GRID)
+def test_dead_messages_are_never_read(spec, m, d, warm_start, i_max):
+    sys_, frames = _schedule_frames(spec, m, d)
+    for llr in frames:
+        res = decode_frame_swd(sys_, llr, d=d, i_max=i_max, warm_start=warm_start)
+        dec = ScramblingDecoder(sys_, llr, d, i_max, warm_start=warm_start)
+        for t in range(SCHEDULE_L):
+            u_hat, v_hat, w_tilde, iters = dec.decode_step(t)
             assert np.array_equal(res.u_hat[t], u_hat)
             assert np.array_equal(res.v_hat[t], v_hat)
             assert np.array_equal(res.w_tilde[t], w_tilde)
