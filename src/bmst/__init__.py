@@ -5,14 +5,13 @@ the analytic bound chain used to design codes at a target BER."""
 from .codes import (CartesianCode, Iowef, ShortCode, compute_iowef,
                     encode_cartesian, make_repetition, make_spc,
                     parse_code_spec, siso_map_decode)
-from .coupling import (BmstSystem, EncoderState, InterleaverSet, bpsk_map,
-                       encode_block, encode_frame, generate_interleavers,
-                       make_system)
-from .channel import ChannelParams, channel_llr, ebn0_to_sigma, transmit
+from .coupling import (BmstSystem, InterleaverSet, bpsk_map, encode_frame,
+                       generate_interleavers, make_system, superpose)
+from .channel import channel_llr, ebn0_to_sigma, transmit
 from .kernels import LLR_MAX
 from .swd import decode_frame_swd
-from .tpd import (GenieSideInfo, TpdConfig, decode_frame_gad,
-                  decode_frame_tpd, gad_cancel, gad_decode, gad_minimize)
+from .tpd import (TpdConfig, decode_frame_gad, decode_frame_tpd, gad_cancel,
+                  gad_minimize)
 from .analysis import (DesignSpec, design_memory, find_gamma_target,
                        flip_probability, genie_bound, lower_bound, pep,
                        q_function, shannon_limit_biawgn, union_bound)

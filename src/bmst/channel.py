@@ -4,8 +4,6 @@ Eb/N0 in dB relates to the per-dimension noise std dev by
 gamma_b = 10*log10(1 / (2 * sigma^2 * R)).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernels import LLR_MAX
@@ -19,16 +17,6 @@ def ebn0_to_sigma(ebn0_db, rate):
 
 def sigma_to_ebn0(sigma, rate):
     return float(10.0 * np.log10(1.0 / (2.0 * sigma ** 2 * rate)))
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    ebn0_db: float
-    rate: float
-
-    @property
-    def sigma(self):
-        return ebn0_to_sigma(self.ebn0_db, self.rate)
 
 
 def transmit(x, sigma, rng):

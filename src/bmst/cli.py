@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis, harness
-from .codes import CodeError, compute_iowef, make_repetition, make_spc, parse_code_spec
+from .codes import CodeError, compute_iowef, parse_code_spec
 
 SCHEMA_VERSION = 1
 
@@ -56,18 +56,18 @@ def parse_grid(text):
     return grid
 
 
+_FAMILY_NAMES = {"rc": "repetition", "spc": "single parity-check"}
+
+
 def short_code_for(family, rate):
     """Map (family, rate) to the short code: RC[N,1] has rate 1/N,
     SPC[N,N-1] has rate (N-1)/N."""
-    if family == "rc":
-        if rate.numerator != 1:
-            raise UsageError(f"no repetition code of rate {rate}")
-        return make_repetition(rate.denominator)
-    if family == "spc":
-        if rate.numerator != rate.denominator - 1:
-            raise UsageError(f"no single parity-check code of rate {rate}")
-        return make_spc(rate.denominator)
-    raise UsageError(f"unknown family {family!r}")
+    if family not in _FAMILY_NAMES:
+        raise UsageError(f"unknown family {family!r}")
+    try:
+        return parse_code_spec(f"{family}[{rate.denominator},{rate.numerator}]^1").short
+    except CodeError:
+        raise UsageError(f"no {_FAMILY_NAMES[family]} code of rate {rate}") from None
 
 
 def cmd_design(args):

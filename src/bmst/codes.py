@@ -222,11 +222,13 @@ class CartesianCode:
 
 
 def encode_cartesian(cart, message):
+    """Codewords of (..., k) message bits: (..., n), blockwise."""
     message = np.asarray(message, dtype=np.uint8)
-    if message.shape != (cart.k,):
-        raise CodeError(f"message length {message.size} != k={cart.k}")
-    blocks = message.reshape(cart.B, cart.short.K)
-    return ((blocks @ cart.short.generator) % 2).astype(np.uint8).reshape(cart.n)
+    lead = message.shape[:-1]
+    if message.shape[-1:] != (cart.k,):
+        raise CodeError(f"message shape {message.shape} does not end in k={cart.k}")
+    blocks = message.reshape(*lead, cart.B, cart.short.K)
+    return ((blocks @ cart.short.generator) % 2).astype(np.uint8).reshape(*lead, cart.n)
 
 
 _SPEC_RE = re.compile(r"^(rc|spc)\[(\d+),(\d+)\]\^(\d+)$", re.IGNORECASE)

@@ -80,52 +80,27 @@ def make_system(code_spec_or_code, m, L, seed):
     return BmstSystem(basic=basic, interleavers=generate_interleavers(basic.n, m, seed), L=L)
 
 
-@dataclass
-class EncoderState:
-    """The m most recent intermediate codewords, newest first."""
-
-    history: np.ndarray  # (m, n) uint8
-    t: int = 0
-
-    @classmethod
-    def fresh(cls, sys):
-        return cls(history=np.zeros((sys.m, sys.n), dtype=np.uint8), t=0)
-
-
-def encode_block(sys, state, message):
-    """One step of c^(t) = sum_i v^(t-i) permuted by perms[i]; returns the
-    transmitted sub-block and advances the state."""
-    if state.t >= sys.total_blocks:
-        raise ValueError("frame already terminated")
-    message = np.asarray(message, dtype=np.uint8)
-    if state.t >= sys.L and message.any():
-        raise ValueError("termination blocks must carry all-zero messages")
-    v = encode_cartesian(sys.basic, message)
-    perms = sys.interleavers.perms
-    c = v[perms[0]]
-    for i in range(1, sys.m + 1):
-        c = c ^ state.history[i - 1][perms[i]]
-    if sys.m > 0:
-        state.history[1:] = state.history[:-1]
-        state.history[0] = v
-    state.t += 1
-    return c, v
+def superpose(words):
+    """Superposition along the coupling diagonal: (T, m+1, n) branch words
+    to (T, n) rows, row s = XOR_i words[s-i, i] over 0 <= s-i < T."""
+    x = words[:, 0].copy()
+    for i in range(1, words.shape[1]):
+        x[i:] ^= words[:-i, i]
+    return x
 
 
 def encode_frame(sys, messages, return_intermediate=False):
     """Encode L message blocks plus the m zero termination blocks.
 
-    messages: (L, k) bits. Returns (L+m, n) transmitted bits; with
+    messages: (L, k) bits. Returns (L+m, n) transmitted bits
+    c^(t) = XOR_i v^(t-i) permuted by perms[i]; with
     return_intermediate=True also the (L+m, n) intermediate codewords v."""
     messages = np.asarray(messages, dtype=np.uint8)
     if messages.shape != (sys.L, sys.k):
         raise CodeError(f"expected {(sys.L, sys.k)} message bits, got {messages.shape}")
-    state = EncoderState.fresh(sys)
-    c = np.empty((sys.total_blocks, sys.n), dtype=np.uint8)
-    v = np.empty((sys.total_blocks, sys.n), dtype=np.uint8)
-    zero = np.zeros(sys.k, dtype=np.uint8)
-    for t in range(sys.total_blocks):
-        c[t], v[t] = encode_block(sys, state, messages[t] if t < sys.L else zero)
+    v = np.zeros((sys.total_blocks, sys.n), dtype=np.uint8)
+    v[:sys.L] = encode_cartesian(sys.basic, messages)
+    c = superpose(true_branch_words(sys, v))
     if return_intermediate:
         return c, v
     return c
@@ -139,4 +114,4 @@ def bpsk_map(c):
 def true_branch_words(sys, v):
     """w^(t,i) = v^(t) permuted by perms[i], for all layers: (T, m+1, n)."""
     perms = sys.interleavers.perms
-    return v[:, perms].astype(np.uint8)  # fancy index broadcasts layer axis
+    return v[:, perms].astype(np.uint8, copy=False)  # fancy index broadcasts layer axis

@@ -8,10 +8,13 @@ index order; surplus frames computed by a pool are discarded.
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -184,41 +187,42 @@ def simulate_frame(cfg_dict, ebn0_db, point_idx, frame_idx):
     return out
 
 
+def _frames(cfg, ebn0_db, point_idx):
+    """FrameCounts of frames 0, 1, 2, ... of a grid point, in index order.
+    With more than one worker the frames run in a process pool, up to
+    2 * workers ahead; closing the generator cancels the ones not yet
+    started."""
+    if cfg.workers <= 1:
+        for f in itertools.count():
+            yield simulate_frame(cfg, ebn0_db, point_idx, f)
+    cfg_dict = cfg.to_dict()
+    with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
+        pending = deque()
+        try:
+            for f in itertools.count():
+                pending.append(ex.submit(simulate_frame, cfg_dict, ebn0_db, point_idx, f))
+                if len(pending) == 2 * cfg.workers:
+                    yield pending.popleft().result()
+        finally:
+            for fut in pending:
+                fut.cancel()
+
+
 def run_point(cfg, ebn0_db, point_idx=0):
     """Simulate frames at one grid point until a stop rule fires."""
     start = time.monotonic()
     total = FrameCounts()
     truncated = False
-    cfg_dict = cfg.to_dict()
 
     def stopped():
         return (total.errors >= cfg.min_bit_errors or total.bits >= cfg.max_bits)
 
-    if cfg.workers <= 1:
-        f = 0
+    with closing(_frames(cfg, ebn0_db, point_idx)) as frames:
         while not stopped():
-            total.add(simulate_frame(cfg, ebn0_db, point_idx, f))
-            f += 1
+            total.add(next(frames))
             if cfg.max_seconds > 0 and time.monotonic() - start > cfg.max_seconds:
                 truncated = not stopped()
                 break
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-            pending = {}
-            next_submit = 0
-            next_take = 0
-            while not stopped():
-                while len(pending) < 2 * cfg.workers:
-                    pending[next_submit] = ex.submit(
-                        simulate_frame, cfg_dict, ebn0_db, point_idx, next_submit)
-                    next_submit += 1
-                total.add(pending.pop(next_take).result())
-                next_take += 1
-                if cfg.max_seconds > 0 and time.monotonic() - start > cfg.max_seconds:
-                    truncated = not stopped()
-                    break
-            for fut in pending.values():
-                fut.cancel()
 
     lo, hi = clopper_pearson(total.errors, total.bits)
     return PointResult(

@@ -24,9 +24,11 @@ uniform.
 
 Each iteration on the window [te, hi] is a forward sweep (plus node, then
 replication node, at s = te..hi) and a backward sweep of plus nodes
-(s = hi..te+1); the stop check then takes the APP of layer te from p2e. A
-node computes only the messages that some node reads before they are
-overwritten, and each line below says why the others are dead:
+(s = hi..te+1); the stop check then takes the APP of layer te from p2e.
+With m = 0 or d = 0 the sweeps change no message that layer te reads, so
+its window runs one iteration. A node computes only the messages that some
+node reads before they are overwritten, and each line below says why the
+others are dead:
 
   forward plus(te)  branch 0, once per window, before the first sweep. Its
                     input rows 0 and 2..m+1 hold the channel and pinned
@@ -180,9 +182,12 @@ class WindowDecoder:
                 self._from(self.e2p, t)[self._e2p_at] = _PHI_UNIFORM
                 self._from(self.p2e, t)[self._p2e_at] = 0.0
         self._update_plus(te, 0, 0)  # fixed for the window; see the schedule
+        # a second iteration would repeat the first one's APP when the sweeps
+        # change nothing layer te reads (module docstring)
+        i_max = 1 if sys.m == 0 or hi == te else self.i_max
         prev_ent = np.inf
         iters = 0
-        for _ in range(self.i_max):
+        for _ in range(i_max):
             self._iterate(te, hi)
             iters += 1
             a, s_in, ext = self._eq_inputs(te)

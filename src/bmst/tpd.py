@@ -1,10 +1,12 @@
 """Genie-aided decoding and the two-phase decoder.
 
-The genie-aided decoder (GAD) recovers one layer by cancelling every other
+The genie-aided decoder (GAD) recovers each layer by cancelling every other
 layer's contribution from the m+1 received sub-blocks it touches, using
 side-information branch words, then picking the short codeword that
 minimizes the combined Euclidean metric (a correlation maximization, B
-independent searches of at most 2^K codewords each).
+independent searches of at most 2^K codewords each). It works on the whole
+frame at once: the superposition x of all side-information words is built
+once, and the interference on y^(t+i) outside layer t is x[t+i] XOR w^(t,i).
 
 The two-phase decoder (TPD) runs the sliding-window decoder as phase I,
 takes the hard extrinsic branch decisions as a noisy genie, and re-decodes
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import channel_llr
-from .coupling import true_branch_words
+from .coupling import superpose, true_branch_words
 from .swd import decode_frame_swd
 
 
@@ -24,107 +26,68 @@ class SideInfoError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GenieSideInfo:
-    """Branch words w^(t,i) as reported by a (possibly noisy) genie.
-
-    words: (T, m+1, n) bits indexed by layer and branch; layers outside
-    [0, T) are treated as known all-zero by the consumers. source records
-    how the words were produced ("perfect", "flipped", "phase_one")."""
-
-    words: np.ndarray
-    source: str
-    p_genie: float = 0.0
-
+# Side information is a (T, m+1, n) array of branch words w^(t,i), as
+# reported by a (possibly noisy) genie for every layer, tail layers
+# included. A layer's own branch words are never consulted when it is
+# decoded.
 
 def perfect_side_info(sys, v):
-    return GenieSideInfo(words=true_branch_words(sys, v), source="perfect")
+    return true_branch_words(sys, v)
 
 
 def flipped_side_info(sys, v, p_genie, rng):
     """Each side-information bit independently flipped with prob p_genie."""
     w = true_branch_words(sys, v)
-    flips = (rng.random(w.shape) < p_genie).astype(np.uint8)
-    return GenieSideInfo(words=w ^ flips, source="flipped", p_genie=p_genie)
+    return w ^ (rng.random(w.shape) < p_genie).astype(np.uint8)
 
 
 def phase_one_side_info(sys, w_tilde):
-    """Wrap phase-I outputs (L, m+1, n); tail layers are known all-zero."""
-    T = sys.total_blocks
-    words = np.zeros((T, sys.m + 1, sys.n), dtype=np.uint8)
+    """Phase-I outputs (L, m+1, n) padded with the known all-zero tail."""
+    words = np.zeros((sys.total_blocks, sys.m + 1, sys.n), dtype=np.uint8)
     words[:sys.L] = w_tilde
-    return GenieSideInfo(words=words, source="phase_one")
+    return words
 
 
-def gad_cancel(sys, received, side, t):
-    """Strip all other layers' contributions from y^(t..t+m).
+def gad_cancel(sys, y, words):
+    """Strip all other layers' contributions from the received rows of
+    every data layer.
 
-    received: (m+1, n) rows y^(t)..y^(t+m). Returns (m+1, n) cleaned
-    observations; row i has sign flips wherever the side-information XOR
-    estimate of the interference on c^(t+i) is 1."""
-    m, n, T = sys.m, sys.n, sys.total_blocks
-    received = np.asarray(received, dtype=np.float64)
-    if received.shape != (m + 1, n):
-        raise SideInfoError(f"expected received shape {(m + 1, n)}")
-    words = side.words
+    y: (T, n) received frame; words: (T, m+1, n) side information. Returns
+    (L, m+1, n) cleaned observations: row [t, i] is y^(t+i) with sign flips
+    wherever the side-information estimate of the interference on c^(t+i),
+    the superposition x[t+i] without layer t's own term, is 1."""
+    m, n, L, T = sys.m, sys.n, sys.L, sys.total_blocks
+    y = np.asarray(y, dtype=np.float64)
+    words = np.asarray(words, dtype=np.uint8)
+    if y.shape != (T, n):
+        raise SideInfoError(f"received frame shape {y.shape} != {(T, n)}")
     if words.shape != (T, m + 1, n):
         raise SideInfoError(f"side info shape {words.shape} != {(T, m + 1, n)}")
-    cleaned = np.empty_like(received)
-    for i in range(m + 1):
-        c_hat = np.zeros(n, dtype=np.uint8)
-        for ell in range(m + 1):
-            if ell == i:
-                continue  # own branch carries the target layer
-            tp = t + i - ell
-            if 0 <= tp < T:
-                c_hat ^= words[tp, ell]
-        cleaned[i] = np.where(c_hat == 1, -received[i], received[i])
+    rows = np.arange(L)[:, None] + np.arange(m + 1)  # (L, m+1): t+i
+    interference = superpose(words)[rows] ^ words[:L]
+    cleaned = y[rows]
+    # times +-1 is an exact sign flip; int8, since 1 - 2 * uint8 wraps
+    cleaned *= 1 - 2 * interference.view(np.int8)
     return cleaned
 
 
-def combined_correlation(sys, cleaned):
-    """Per-v-bit correlation statistic r_j = sum_i cleaned[i] gathered back
-    through branch i's interleaver."""
-    invs = sys.interleavers.invs
-    r = np.zeros(sys.n)
-    for i in range(sys.m + 1):
-        r += cleaned[i][invs[i]]
-    return r
-
-
 def gad_minimize(sys, cleaned):
-    """Minimum-Euclidean-distance decoding of the target layer from the
-    cleaned observations; returns (u_hat, v_hat). Ties break toward the
-    lexicographically smallest message (codebook order)."""
-    short = sys.basic.short
-    r = combined_correlation(sys, cleaned).reshape(sys.basic.B, short.N)
+    """Minimum-Euclidean-distance decoding of every data layer from its
+    cleaned observations (L, m+1, n); returns the (L, k) messages. Ties
+    break toward the lexicographically smallest message (codebook order)."""
+    short, invs, L = sys.basic.short, sys.interleavers.invs, sys.L
+    r = np.zeros((L, sys.n))  # per-v-bit correlation, branches de-permuted
+    for i in range(sys.m + 1):
+        r += np.take(cleaned[:, i], invs[i], axis=1)
     signs = 1.0 - 2.0 * short.codebook.astype(np.float64)  # (ncw, N)
-    scores = r @ signs.T  # (B, ncw); maximize correlation
+    scores = r.reshape(L * sys.basic.B, short.N) @ signs.T  # maximize correlation
     best = np.argmax(scores, axis=1)
-    u_hat = short.codebook_msgs[best].reshape(sys.k)
-    v_hat = short.codebook[best].reshape(sys.n)
-    return u_hat, v_hat
+    return short.codebook_msgs[best].reshape(L, sys.k)
 
 
-def gad_decode(sys, y, side, t):
-    """Recover u^(t) from the full received frame y (T, n) and side info."""
-    if not 0 <= t < sys.L:
-        raise SideInfoError(f"target layer {t} outside 0..L-1")
-    rows = np.zeros((sys.m + 1, sys.n))
-    T = sys.total_blocks
-    hi = min(t + sys.m, T - 1)
-    rows[:hi - t + 1] = y[t:hi + 1]
-    cleaned = gad_cancel(sys, rows, side, t)
-    u_hat, _ = gad_minimize(sys, cleaned)
-    return u_hat
-
-
-def decode_frame_gad(sys, y, side):
-    """GAD over every data layer of a frame."""
-    u_hat = np.empty((sys.L, sys.k), dtype=np.uint8)
-    for t in range(sys.L):
-        u_hat[t] = gad_decode(sys, y, side, t)
-    return u_hat
+def decode_frame_gad(sys, y, words):
+    """GAD over every data layer of a frame: (L, k) message decisions."""
+    return gad_minimize(sys, gad_cancel(sys, y, words))
 
 
 @dataclass(frozen=True)
@@ -150,7 +113,6 @@ def decode_frame_tpd(sys, y, sigma, cfg):
     y = np.asarray(y, dtype=np.float64)
     llrs = channel_llr(y, sigma)
     ph1 = decode_frame_swd(sys, llrs, cfg.d, cfg.i_max, cfg.stop_threshold)
-    side = phase_one_side_info(sys, ph1.w_tilde)
-    u_hat = decode_frame_gad(sys, y, side)
+    u_hat = decode_frame_gad(sys, y, phase_one_side_info(sys, ph1.w_tilde))
     return TpdResult(u_hat=u_hat, u_hat_phase1=ph1.u_hat,
                      w_tilde=ph1.w_tilde, iterations=ph1.iterations)

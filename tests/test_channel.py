@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from bmst.channel import (ChannelParams, channel_llr, ebn0_to_sigma,
-                          sigma_to_ebn0, transmit)
+from bmst.channel import channel_llr, ebn0_to_sigma, sigma_to_ebn0, transmit
 from bmst.kernels import LLR_MAX
 
 
@@ -27,11 +26,6 @@ def test_rate_validation():
         ebn0_to_sigma(0.0, 0.0)
     with pytest.raises(ValueError):
         ebn0_to_sigma(0.0, 1.5)
-
-
-def test_channel_params():
-    p = ChannelParams(ebn0_db=0.0, rate=0.5)
-    assert p.sigma == pytest.approx(1.0)
 
 
 def test_llr_scaling_and_clamp():

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmst.codes import CartesianCode, make_code
-from bmst.coupling import (BmstSystem, EncoderState, InterleaverSet, bpsk_map,
-                           encode_block, encode_frame, generate_interleavers,
-                           make_system, true_branch_words)
+from bmst.codes import CartesianCode, CodeError, make_code
+from bmst.coupling import (BmstSystem, InterleaverSet, bpsk_map, encode_frame,
+                           generate_interleavers, make_system, superpose,
+                           true_branch_words)
 
 
 def test_interleavers_deterministic():
@@ -37,22 +37,33 @@ def _identity_system(m, L):
     return BmstSystem(basic=basic, interleavers=il, L=L)
 
 
-def test_encode_block_superposes_history():
+def test_encode_frame_superposes_history():
     sys_ = _identity_system(m=1, L=2)
-    state = EncoderState.fresh(sys_)
-    c0, v0 = encode_block(sys_, state, [1, 0, 1, 0])
-    assert c0.tolist() == [1, 0, 1, 0]  # nothing in the history yet
-    c1, v1 = encode_block(sys_, state, [0, 1, 1, 0])
-    assert v1.tolist() == [0, 1, 1, 0]
-    assert c1.tolist() == [1, 1, 0, 0]  # v1 xor v0
+    c, v = encode_frame(sys_, [[1, 0, 1, 0], [0, 1, 1, 0]], return_intermediate=True)
+    assert c[0].tolist() == [1, 0, 1, 0]  # nothing in the history yet
+    assert v[1].tolist() == [0, 1, 1, 0]
+    assert c[1].tolist() == [1, 1, 0, 0]  # v1 xor v0
+    assert c[2].tolist() == [0, 1, 1, 0]  # termination block: v1 alone
 
 
 def test_termination_blocks_must_be_zero():
+    # the encoder takes the L message blocks only; it appends the m
+    # all-zero termination blocks itself
     sys_ = _identity_system(m=1, L=1)
-    state = EncoderState.fresh(sys_)
-    encode_block(sys_, state, [1, 1, 0, 0])
-    with pytest.raises(ValueError):
-        encode_block(sys_, state, [1, 0, 0, 0])
+    with pytest.raises(CodeError):
+        encode_frame(sys_, [[1, 1, 0, 0], [1, 0, 0, 0]])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_superpose_matches_direct_loop(T, m, n, seed):
+    words = np.random.default_rng(seed).integers(0, 2, (T, m + 1, n), dtype=np.uint8)
+    ref = np.zeros((T, n), dtype=np.uint8)
+    for s in range(T):
+        for i in range(m + 1):
+            if 0 <= s - i < T:
+                ref[s] ^= words[s - i, i]
+    assert np.array_equal(superpose(words), ref)
 
 
 def test_frame_shape_and_tail():

@@ -259,6 +259,11 @@ class FullScheduleDecoder:
             a, s_in, ext = self.gather(t)
             self.e2p[t] = clamp((ext + s_in) - a).reshape(-1)[self.perm]
 
+    def max_iterations(self, te, hi):
+        """One iteration when the sweeps change no message that layer te
+        reads (m = 0 or d = 0): a second would repeat the first one's APP."""
+        return 1 if self.sys.m == 0 or hi == te else self.i_max
+
     def msg_llr(self, app):
         short = self.sys.basic.short
         return app.reshape(-1, short.N)[:, :short.K].reshape(-1)
@@ -270,7 +275,7 @@ class FullScheduleDecoder:
             self.e2p[lo:min(hi + 1, L)] = 0.0
             self.p2e[lo:hi + 1] = 0.0
         prev_ent, iters = np.inf, 0
-        for _ in range(self.i_max):
+        for _ in range(self.max_iterations(te, hi)):
             for s in [*range(lo, hi + 1), *range(hi, lo - 1, -1)]:
                 self.plus(s)
                 self.eq(s)
@@ -327,6 +332,30 @@ def test_live_message_schedule_matches_full_schedule(spec, m, d, warm_start, i_m
             assert np.array_equal(res.v_hat[t], v_hat)
             assert np.array_equal(res.w_tilde[t], w_tilde)
             assert res.iterations[t] == iters
+
+
+class TwoPassReference(FullScheduleDecoder):
+    """The reference without the one-pass rule: a window whose sweeps change
+    nothing that layer te reads runs a second, identical iteration."""
+
+    def max_iterations(self, te, hi):
+        return self.i_max
+
+
+@pytest.mark.parametrize("spec", SCHEDULE_SPECS)
+@pytest.mark.parametrize("m,d,warm_start,i_max",
+                         [case for case in SCHEDULE_GRID if case[0] == 0 or case[1] == 0])
+def test_idle_windows_run_one_iteration(spec, m, d, warm_start, i_max):
+    sys_, frames = _schedule_frames(spec, m, d)
+    for llr in frames:
+        res = decode_frame_swd(sys_, llr, d=d, i_max=i_max, warm_start=warm_start)
+        assert (res.iterations == 1).all()
+        ref = TwoPassReference(sys_, llr, d, i_max, warm_start)
+        for t in range(SCHEDULE_L):
+            u_hat, v_hat, w_tilde, _ = ref.decode_step(t)
+            assert np.array_equal(res.u_hat[t], u_hat)
+            assert np.array_equal(res.v_hat[t], v_hat)
+            assert np.array_equal(res.w_tilde[t], w_tilde)
 
 
 class ScramblingDecoder(WindowDecoder):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import bmst
-from bmst.channel import ebn0_to_sigma, transmit
+from bmst.channel import channel_llr, ebn0_to_sigma, transmit
 from bmst.coupling import true_branch_words
-from bmst.tpd import (GenieSideInfo, SideInfoError, TpdConfig,
-                      decode_frame_gad, decode_frame_tpd, flipped_side_info,
-                      gad_cancel, gad_decode, gad_minimize,
-                      perfect_side_info, phase_one_side_info)
+from bmst.swd import decode_frame_swd
+from bmst.tpd import (SideInfoError, TpdConfig, decode_frame_gad,
+                      decode_frame_tpd, flipped_side_info, gad_cancel,
+                      gad_minimize, perfect_side_info, phase_one_side_info)
 
 
 def _frame(spec, m, L, seed, msg_seed):
@@ -18,6 +18,41 @@ def _frame(spec, m, L, seed, msg_seed):
     return sys_, msgs, c, v
 
 
+def oracle_cancel(sys_, y, words, t):
+    """Cleaned rows y^(t..t+m) of layer t, as a direct loop over the
+    (m+1)^2 branch words around it: row i is sign-flipped wherever the XOR
+    of every other layer's branch word on c^(t+i) is 1."""
+    m, n, T = sys_.m, sys_.n, sys_.total_blocks
+    cleaned = np.empty((m + 1, n))
+    for i in range(m + 1):
+        c_hat = np.zeros(n, dtype=np.uint8)
+        for ell in range(m + 1):
+            tp = t + i - ell
+            if ell != i and 0 <= tp < T:
+                c_hat ^= words[tp, ell]
+        cleaned[i] = np.where(c_hat == 1, -y[t + i], y[t + i])
+    return cleaned
+
+
+def oracle_correlation(sys_, cleaned):
+    """Per-v-bit correlation of one layer: its cleaned rows gathered back
+    through each branch's interleaver and summed in branch order."""
+    r = np.zeros(sys_.n)
+    for i in range(sys_.m + 1):
+        r += cleaned[i][sys_.interleavers.invs[i]]
+    return r
+
+
+def oracle_gad_layer(sys_, y, words, t):
+    """Per-layer GAD: cancel, correlate, and take the codebook argmax of
+    each short block (first maximum, so the smallest message wins ties)."""
+    short = sys_.basic.short
+    r = oracle_correlation(sys_, oracle_cancel(sys_, y, words, t))
+    signs = 1.0 - 2.0 * short.codebook.astype(np.float64)
+    best = np.argmax(r.reshape(sys_.basic.B, short.N) @ signs.T, axis=1)
+    return short.codebook_msgs[best].reshape(sys_.k)
+
+
 def test_perfect_side_info_noiseless_gad():
     sys_, msgs, c, v = _frame("RC[2,1]^10", 2, 5, 0, 1)
     y = bmst.bpsk_map(c)  # no noise
@@ -26,61 +61,85 @@ def test_perfect_side_info_noiseless_gad():
 
 
 def test_gad_cancel_strips_interference_exactly():
-    # with perfect side info, the cleaned rows are the BPSK image of the
-    # target layer's own branch words (up to the channel noise)
+    # with perfect side info, the cleaned rows are the BPSK image of each
+    # layer's own branch words (up to the channel noise)
     sys_, msgs, c, v = _frame("SPC[4,3]^5", 2, 4, 3, 2)
     y = bmst.bpsk_map(c)
-    side = perfect_side_info(sys_, v)
-    t = 1
-    rows = y[t:t + sys_.m + 1]
-    cleaned = gad_cancel(sys_, rows, side, t)
-    w = true_branch_words(sys_, v)
-    for i in range(sys_.m + 1):
-        assert np.allclose(cleaned[i], bmst.bpsk_map(w[t, i]))
+    w = perfect_side_info(sys_, v)
+    cleaned = gad_cancel(sys_, y, w)
+    assert cleaned.shape == (sys_.L, sys_.m + 1, sys_.n)
+    assert np.array_equal(cleaned, bmst.bpsk_map(w[:sys_.L]))
 
 
 def test_gad_ignores_own_layer_side_info():
     sys_, msgs, c, v = _frame("RC[2,1]^10", 2, 5, 0, 4)
     rng = np.random.default_rng(7)
     y = transmit(bmst.bpsk_map(c), 0.5, rng)
-    side = perfect_side_info(sys_, v)
-    u_ref = gad_decode(sys_, y, side, 2)
-    corrupted = side.words.copy()
-    corrupted[2] ^= 1  # garbage in the target layer's own entries
-    u_alt = gad_decode(sys_, y, GenieSideInfo(words=corrupted, source="perfect"), 2)
-    assert np.array_equal(u_ref, u_alt)
+    words = perfect_side_info(sys_, v)
+    u_ref = decode_frame_gad(sys_, y, words)
+    corrupted = words.copy()
+    corrupted[2] ^= 1  # garbage in layer 2's own entries
+    u_alt = decode_frame_gad(sys_, y, corrupted)
+    assert np.array_equal(u_ref[2], u_alt[2])
 
 
 def test_flipped_side_info_rate_and_zero_limit():
     sys_, msgs, c, v = _frame("RC[2,1]^500", 3, 20, 1, 5)
     rng = np.random.default_rng(11)
     truth = true_branch_words(sys_, v)
-    side = flipped_side_info(sys_, v, 0.1, rng)
-    rate = (side.words != truth).mean()
+    words = flipped_side_info(sys_, v, 0.1, rng)
+    rate = (words != truth).mean()
     assert rate == pytest.approx(0.1, rel=0.1)
     clean = flipped_side_info(sys_, v, 0.0, rng)
-    assert np.array_equal(clean.words, truth)
+    assert np.array_equal(clean, truth)
 
 
 def test_gad_minimize_repetition_is_a_sign_test():
-    from bmst.tpd import combined_correlation
     sys_, msgs, c, v = _frame("RC[2,1]^8", 1, 3, 2, 6)
     rng = np.random.default_rng(3)
     y = transmit(bmst.bpsk_map(c), 0.8, rng)
-    t = 0
-    cleaned = gad_cancel(sys_, y[t:t + 2], perfect_side_info(sys_, v), t)
-    u_hat, v_hat = gad_minimize(sys_, cleaned)
-    r = combined_correlation(sys_, cleaned).reshape(-1, 2).sum(axis=1)
-    assert np.array_equal(u_hat, (r < 0).astype(np.uint8))
+    cleaned = gad_cancel(sys_, y, perfect_side_info(sys_, v))
+    u_hat = gad_minimize(sys_, cleaned)
+    for t in range(sys_.L):
+        r = oracle_correlation(sys_, cleaned[t]).reshape(-1, 2).sum(axis=1)
+        assert np.array_equal(u_hat[t], (r < 0).astype(np.uint8))
 
 
 def test_phase_one_side_info_pads_zero_tail():
     sys_ = bmst.make_system("RC[2,1]^4", 2, 3, 0)
     w = np.ones((3, 3, 8), dtype=np.uint8)
-    side = phase_one_side_info(sys_, w)
-    assert side.words.shape == (5, 3, 8)
-    assert not side.words[3:].any()
-    assert side.source == "phase_one"
+    words = phase_one_side_info(sys_, w)
+    assert words.shape == (5, 3, 8)
+    assert words[:3].all()
+    assert not words[3:].any()
+
+
+def _side_info(source, sys_, v, y, sigma, rng):
+    if source == "perfect":
+        return perfect_side_info(sys_, v)
+    if source == "flipped":
+        return flipped_side_info(sys_, v, 0.05, rng)
+    ph1 = decode_frame_swd(sys_, channel_llr(y, sigma), d=sys_.m, i_max=2)
+    return phase_one_side_info(sys_, ph1.w_tilde)
+
+
+@pytest.mark.parametrize("source", ["perfect", "flipped", "phase_one"])
+@pytest.mark.parametrize("m", [0, 1, 3, 8, 30])
+@pytest.mark.parametrize("spec", ["RC[2,1]^8", "SPC[4,3]^4"])
+def test_whole_frame_gad_matches_per_layer_oracle(spec, m, source):
+    for L in (1, 5, 40):
+        sys_, msgs, c, v = _frame(spec, m, L, seed=m + L, msg_seed=L)
+        rng = np.random.default_rng([m, L])
+        sigma = ebn0_to_sigma(1.0, sys_.basic.rate)
+        # a noisy frame, and a noiseless one whose cleaned rows are +-1, so
+        # that ties between codewords occur
+        for y in (transmit(bmst.bpsk_map(c), sigma, rng), bmst.bpsk_map(c)):
+            words = _side_info(source, sys_, v, y, sigma, rng)
+            cleaned = gad_cancel(sys_, y, words)
+            u_hat = decode_frame_gad(sys_, y, words)
+            for t in range(L):
+                assert np.array_equal(cleaned[t], oracle_cancel(sys_, y, words, t))
+                assert np.array_equal(u_hat[t], oracle_gad_layer(sys_, y, words, t))
 
 
 def test_tpd_noiseless_matches_messages_both_phases():
@@ -104,11 +163,9 @@ def test_tpd_cleans_residual_errors_at_moderate_snr():
 
 def test_side_info_shape_validation():
     sys_ = bmst.make_system("RC[2,1]^4", 1, 3, 0)
-    bad = GenieSideInfo(words=np.zeros((2, 2, 8), dtype=np.uint8), source="x")
     with pytest.raises(SideInfoError):
-        gad_cancel(sys_, np.zeros((2, 8)), bad, 0)
-    good = GenieSideInfo(words=np.zeros((4, 2, 8), dtype=np.uint8), source="x")
+        gad_cancel(sys_, np.zeros((4, 8)), np.zeros((2, 2, 8), dtype=np.uint8))
+    good = np.zeros((4, 2, 8), dtype=np.uint8)
     with pytest.raises(SideInfoError):
-        gad_cancel(sys_, np.zeros((3, 8)), good, 0)
-    with pytest.raises(SideInfoError):
-        gad_decode(sys_, np.zeros((4, 8)), good, 3)
+        gad_cancel(sys_, np.zeros((3, 8)), good)
+    assert gad_cancel(sys_, np.zeros((4, 8)), good).shape == (3, 2, 8)

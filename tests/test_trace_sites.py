@@ -1,0 +1,54 @@
+"""The benchmark in perfbench/ wraps bmst functions at their import sites
+(perfbench/spec.py, TRACE_SITES). A site that no longer resolves makes the
+traced run fail with AttributeError, and a site that is never called reads
+0; these tests catch both in the tier-1 suite."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import bmst
+import bmst.tpd
+from bmst.tpd import TpdConfig, decode_frame_tpd
+
+SPEC_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
+
+
+def _bench_spec():
+    """perfbench/spec.py, which is pure data and imports no bmst module."""
+    spec = importlib.util.spec_from_file_location("perfbench_spec", SPEC_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACE_SITES = [(module, attr) for module, attrs in _bench_spec().TRACE_SITES.items()
+               for attr in attrs]
+
+
+@pytest.mark.parametrize("module,attr", TRACE_SITES)
+def test_trace_site_resolves(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_tpd_frame_calls_the_traced_gad_sites(monkeypatch):
+    calls = {"gad_cancel": 0, "gad_minimize": 0}
+    for name in calls:
+        inner = getattr(bmst.tpd, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(bmst.tpd, name, counted)
+    sys_ = bmst.make_system("RC[2,1]^10", m=2, L=5, seed=0)
+    msgs = np.random.default_rng(1).integers(0, 2, (5, sys_.k), dtype=np.uint8)
+    y = bmst.bpsk_map(bmst.encode_frame(sys_, msgs))
+    res = decode_frame_tpd(sys_, y, 0.5, TpdConfig(d=2, i_max=4))
+    assert np.array_equal(res.u_hat, msgs)
+    # one call each per frame: perfbench's tpd.gad_*.us_per_layer metrics
+    # divide by the calls, so they read microseconds per frame
+    assert calls == {"gad_cancel": 1, "gad_minimize": 1}
