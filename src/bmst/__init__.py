@@ -10,8 +10,7 @@ from .coupling import (BmstSystem, InterleaverSet, bpsk_map, encode_frame,
 from .channel import channel_llr, ebn0_to_sigma, transmit
 from .kernels import LLR_MAX
 from .swd import decode_frame_swd
-from .tpd import (TpdConfig, decode_frame_gad, decode_frame_tpd, gad_cancel,
-                  gad_minimize)
+from .tpd import decode_frame_gad, decode_frame_tpd, gad_cancel, gad_minimize
 from .analysis import (DesignSpec, design_memory, find_gamma_target,
                        flip_probability, genie_bound, lower_bound, pep,
                        q_function, shannon_limit_biawgn, union_bound)

@@ -203,7 +203,6 @@ def genie_bound(iowef, m, p_genie, ebn0_db, rate=None):
     sigma = ebn0_to_sigma(ebn0_db, rate)
     pf = flip_probability(p_genie, m)
     g, h, a = _iowef_terms(iowef)
-    total = 0.0
     logterms = []
     for gi, hi, ai in zip(g, h, a):
         p = pep(int(hi), m, pf, sigma)
@@ -211,8 +210,7 @@ def genie_bound(iowef, m, p_genie, ebn0_db, rate=None):
             logterms.append(math.log(gi / iowef.K) + math.log(ai) + math.log(p))
     if not logterms:
         return 0.0
-    total = float(np.exp(logsumexp(np.asarray(logterms))))
-    return total
+    return float(np.exp(logsumexp(np.asarray(logterms))))
 
 
 def genie_floor(iowef, m, p_genie):

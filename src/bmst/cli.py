@@ -101,19 +101,15 @@ def cmd_bound(args):
     cart = parse_code_spec(args.spec)
     iowef = compute_iowef(cart.short)
     grid = parse_grid(args.grid)
-    name = args.spec.upper()
-    if args.kind == "genie":
-        if not args.p_genie:
-            raise UsageError("kind=genie requires at least one --p-genie")
-        curves = [analysis.make_bound_curve(iowef, "genie_bound", grid, name,
-                                            m=args.m, p_genie=p)
-                  for p in args.p_genie]
-    elif args.kind == "lower":
-        curves = [analysis.make_bound_curve(iowef, "lower_bound", grid, name, m=args.m)]
-    elif args.kind == "basic":
-        curves = [analysis.make_bound_curve(iowef, "basic_union", grid, name)]
-    else:
-        raise UsageError(f"unknown bound kind {args.kind!r}")
+    if args.kind == "genie" and not args.p_genie:
+        raise UsageError("kind=genie requires at least one --p-genie")
+    # --kind -> the curve kind, its memory and its genie flip probabilities;
+    # the basic code's union bound has no memory
+    kind, m, p_genies = {"basic": ("basic_union", 0, [None]),
+                         "lower": ("lower_bound", args.m, [None]),
+                         "genie": ("genie_bound", args.m, args.p_genie)}[args.kind]
+    curves = [analysis.make_bound_curve(iowef, kind, grid, args.spec.upper(), m=m, p_genie=p)
+              for p in p_genies]
     analysis.write_bound_csv(args.out if args.out else sys.stdout, curves)
     return 0
 

@@ -9,7 +9,6 @@ enumeration.
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -94,9 +93,6 @@ class Iowef:
     K: int
     N: int
     coefficients: dict
-
-    def total(self):
-        return sum(self.coefficients.values())
 
 
 def compute_iowef(code):
@@ -187,11 +183,6 @@ def code_extrinsic_llr(code, llr):
     return out.reshape(llr.shape)
 
 
-def code_app_llr(code, llr):
-    """Full APP LLRs (code bits) for B stacked blocks: input + extrinsic."""
-    return np.clip(llr + code_extrinsic_llr(code, llr), -LLR_MAX, LLR_MAX)
-
-
 # ---------------------------------------------------------------------------
 # Cartesian products
 # ---------------------------------------------------------------------------
@@ -251,14 +242,3 @@ def parse_code_spec(spec):
     if family == "spc" and K != N - 1:
         raise CodeError(f"SPC code must be [N,N-1], got {spec!r}")
     return CartesianCode(short=_short_code(family, N), B=B)
-
-
-def iowef_row_sums_ok(iowef):
-    """Check sum A_{g,h} = 2^K and per-g row sums = C(K, g)."""
-    if iowef.total() != 2 ** iowef.K:
-        return False
-    for g in range(iowef.K + 1):
-        row = sum(c for (gi, _), c in iowef.coefficients.items() if gi == g)
-        if row != comb(iowef.K, g):
-            return False
-    return True

@@ -94,15 +94,17 @@ def encode_frame(sys, messages, return_intermediate=False):
 
     messages: (L, k) bits. Returns (L+m, n) transmitted bits
     c^(t) = XOR_i v^(t-i) permuted by perms[i]; with
-    return_intermediate=True also the (L+m, n) intermediate codewords v."""
+    return_intermediate=True also the (L+m, m+1, n) branch words of
+    true_branch_words, whose branch 0 is the intermediate codewords v."""
     messages = np.asarray(messages, dtype=np.uint8)
     if messages.shape != (sys.L, sys.k):
         raise CodeError(f"expected {(sys.L, sys.k)} message bits, got {messages.shape}")
     v = np.zeros((sys.total_blocks, sys.n), dtype=np.uint8)
     v[:sys.L] = encode_cartesian(sys.basic, messages)
-    c = superpose(true_branch_words(sys, v))
+    words = true_branch_words(sys, v)
+    c = superpose(words)
     if return_intermediate:
-        return c, v
+        return c, words
     return c
 
 

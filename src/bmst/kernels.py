@@ -19,10 +19,6 @@ import numpy as np
 
 LLR_MAX = 40.0
 
-# Names the leave-one-out arithmetic. Results hash it, so a run written by
-# a different kernel is not resumed into one written by this kernel.
-KERNEL_ID = "phi-loo-1"
-
 # Kept for the benchmark's run record; there is no compiled kernel path.
 NUMBA_ENABLED = False
 

@@ -101,7 +101,7 @@ class SwdResult:
 class WindowDecoder:
     """Streaming window decoder for one frame; decode_frame_swd drives it."""
 
-    def __init__(self, sys, llrs, d, i_max, stop_threshold=1e-5, warm_start=True):
+    def __init__(self, sys, llrs, d, i_max, stop_threshold=1e-5):
         T = sys.total_blocks
         llrs = np.asarray(llrs, dtype=np.float64)
         if llrs.shape != (T, sys.n):
@@ -112,7 +112,6 @@ class WindowDecoder:
         self.d = d
         self.i_max = i_max
         self.stop_threshold = stop_threshold
-        self.warm_start = warm_start
         m, n, L = sys.m, sys.n, sys.L
         self.e2p = np.full((T, m + 2, n), _PHI_UNIFORM)
         self.e2p[:, 0] = llr_to_phi(llrs)
@@ -177,10 +176,6 @@ class WindowDecoder:
         """Run the window whose target (oldest) layer is te; emit it."""
         sys = self.sys
         hi = min(te + self.d, sys.total_blocks - 1)
-        if not self.warm_start:
-            for t in range(te, min(hi + 1, sys.L)):
-                self._from(self.e2p, t)[self._e2p_at] = _PHI_UNIFORM
-                self._from(self.p2e, t)[self._p2e_at] = 0.0
         self._update_plus(te, 0, 0)  # fixed for the window; see the schedule
         # a second iteration would repeat the first one's APP when the sweeps
         # change nothing layer te reads (module docstring)
@@ -211,9 +206,9 @@ class WindowDecoder:
         return app.reshape(self.sys.basic.B, short.N)[:, :short.K].reshape(-1)
 
 
-def decode_frame_swd(sys, llrs, d, i_max, stop_threshold=1e-5, warm_start=True):
+def decode_frame_swd(sys, llrs, d, i_max, stop_threshold=1e-5):
     """Slide the window across a complete frame, emitting layers 0..L-1."""
-    dec = WindowDecoder(sys, llrs, d, i_max, stop_threshold, warm_start)
+    dec = WindowDecoder(sys, llrs, d, i_max, stop_threshold)
     L, m, n = sys.L, sys.m, sys.n
     u_hat = np.empty((L, sys.k), dtype=np.uint8)
     v_hat = np.empty((L, n), dtype=np.uint8)

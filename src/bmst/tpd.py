@@ -13,12 +13,10 @@ takes the hard extrinsic branch decisions as a noisy genie, and re-decodes
 every layer with the GAD as phase II.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import channel_llr
-from .coupling import superpose, true_branch_words
+from .coupling import superpose
 from .swd import decode_frame_swd
 
 
@@ -29,16 +27,12 @@ class SideInfoError(ValueError):
 # Side information is a (T, m+1, n) array of branch words w^(t,i), as
 # reported by a (possibly noisy) genie for every layer, tail layers
 # included. A layer's own branch words are never consulted when it is
-# decoded.
+# decoded. The true words, the perfect genie, are what
+# coupling.encode_frame returns with return_intermediate=True.
 
-def perfect_side_info(sys, v):
-    return true_branch_words(sys, v)
-
-
-def flipped_side_info(sys, v, p_genie, rng):
-    """Each side-information bit independently flipped with prob p_genie."""
-    w = true_branch_words(sys, v)
-    return w ^ (rng.random(w.shape) < p_genie).astype(np.uint8)
+def flipped_side_info(words, p_genie, rng):
+    """The branch words with each bit independently flipped with prob p_genie."""
+    return words ^ (rng.random(words.shape) < p_genie).astype(np.uint8)
 
 
 def phase_one_side_info(sys, w_tilde):
@@ -90,29 +84,12 @@ def decode_frame_gad(sys, y, words):
     return gad_minimize(sys, gad_cancel(sys, y, words))
 
 
-@dataclass(frozen=True)
-class TpdConfig:
-    d: int
-    i_max: int
-    stop_threshold: float = 1e-5
-
-
-@dataclass
-class TpdResult:
-    u_hat: np.ndarray          # (L, k) phase-II decisions
-    u_hat_phase1: np.ndarray   # (L, k) phase-I (SWD) decisions
-    w_tilde: np.ndarray        # (L, m+1, n) phase-I extrinsic hard decisions
-    iterations: np.ndarray
-
-
-def decode_frame_tpd(sys, y, sigma, cfg):
+def decode_frame_tpd(sys, y, sigma, d, i_max, stop_threshold=1e-5):
     """Phase I: sliding-window decode the frame, collecting the hard
     extrinsic branch decisions. Phase II: genie-aided decode every layer
     treating those decisions as side information (the target layer's own
-    branches are never consulted)."""
+    branches are never consulted). Returns the (L, k) phase-II decisions
+    and the phase-I SwdResult."""
     y = np.asarray(y, dtype=np.float64)
-    llrs = channel_llr(y, sigma)
-    ph1 = decode_frame_swd(sys, llrs, cfg.d, cfg.i_max, cfg.stop_threshold)
-    u_hat = decode_frame_gad(sys, y, phase_one_side_info(sys, ph1.w_tilde))
-    return TpdResult(u_hat=u_hat, u_hat_phase1=ph1.u_hat,
-                     w_tilde=ph1.w_tilde, iterations=ph1.iterations)
+    phase1 = decode_frame_swd(sys, channel_llr(y, sigma), d, i_max, stop_threshold)
+    return decode_frame_gad(sys, y, phase_one_side_info(sys, phase1.w_tilde)), phase1

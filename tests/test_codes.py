@@ -1,13 +1,15 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmst.codes import (CodeError, code_app_llr, code_extrinsic_llr,
-                        compute_iowef, encode_cartesian, iowef_row_sums_ok,
-                        llr_to_prior_pairs, make_code, make_repetition,
-                        make_spc, parse_code_spec, prob_pairs_to_llr,
-                        siso_extrinsic_llr_bruteforce, siso_map_decode)
+from bmst.codes import (CodeError, code_extrinsic_llr, compute_iowef,
+                        encode_cartesian, llr_to_prior_pairs, make_code,
+                        make_repetition, make_spc, parse_code_spec,
+                        prob_pairs_to_llr, siso_extrinsic_llr_bruteforce,
+                        siso_map_decode)
 
 
 def test_repetition_construction():
@@ -44,6 +46,17 @@ def test_iowef_spc4():
     # codeword weight is g + (g mod 2) for a message of weight g
     iow = compute_iowef(make_spc(4))
     assert iow.coefficients == {(0, 0): 1, (1, 2): 3, (2, 2): 3, (3, 4): 1}
+
+
+def iowef_row_sums_ok(iowef):
+    """Check sum A_{g,h} = 2^K and per-g row sums = C(K, g)."""
+    if sum(iowef.coefficients.values()) != 2 ** iowef.K:
+        return False
+    for g in range(iowef.K + 1):
+        row = sum(c for (gi, _), c in iowef.coefficients.items() if gi == g)
+        if row != comb(iowef.K, g):
+            return False
+    return True
 
 
 @pytest.mark.parametrize("code", [make_repetition(2), make_repetition(8),
@@ -91,10 +104,12 @@ def test_closed_form_extrinsic_matches_bruteforce(N, seed):
 
 
 def test_code_app_is_input_plus_extrinsic():
+    # the brute-force APP, own prior included
     spc = make_spc(4)
     llr = np.array([1.0, -2.0, 0.5, 3.0])
-    assert np.allclose(code_app_llr(spc, llr),
-                       llr + code_extrinsic_llr(spc, llr))
+    post, _ = siso_map_decode(spc, llr_to_prior_pairs(llr))
+    assert np.allclose(prob_pairs_to_llr(post), llr + code_extrinsic_llr(spc, llr),
+                       atol=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmst.codes import CartesianCode, CodeError, make_code
+from bmst.codes import CartesianCode, CodeError, encode_cartesian, make_code
 from bmst.coupling import (BmstSystem, InterleaverSet, bpsk_map, encode_frame,
                            generate_interleavers, make_system, superpose,
                            true_branch_words)
@@ -39,9 +39,9 @@ def _identity_system(m, L):
 
 def test_encode_frame_superposes_history():
     sys_ = _identity_system(m=1, L=2)
-    c, v = encode_frame(sys_, [[1, 0, 1, 0], [0, 1, 1, 0]], return_intermediate=True)
+    c, words = encode_frame(sys_, [[1, 0, 1, 0], [0, 1, 1, 0]], return_intermediate=True)
     assert c[0].tolist() == [1, 0, 1, 0]  # nothing in the history yet
-    assert v[1].tolist() == [0, 1, 1, 0]
+    assert words[1, 0].tolist() == [0, 1, 1, 0]
     assert c[1].tolist() == [1, 1, 0, 0]  # v1 xor v0
     assert c[2].tolist() == [0, 1, 1, 0]  # termination block: v1 alone
 
@@ -69,16 +69,19 @@ def test_superpose_matches_direct_loop(T, m, n, seed):
 def test_frame_shape_and_tail():
     sys_ = make_system("RC[2,1]^10", m=3, L=5, seed=0)
     msgs = np.random.default_rng(0).integers(0, 2, (5, sys_.k), dtype=np.uint8)
-    c, v = encode_frame(sys_, msgs, return_intermediate=True)
-    assert c.shape == (8, 20) and v.shape == (8, 20)
-    assert not v[5:].any()  # termination layers carry zero codewords
+    c, words = encode_frame(sys_, msgs, return_intermediate=True)
+    assert c.shape == (8, 20) and words.shape == (8, 4, 20)
+    assert not words[5:].any()  # termination layers carry zero codewords
 
 
 def test_frame_matches_direct_superposition():
     sys_ = make_system("SPC[4,3]^6", m=2, L=4, seed=3)
     rng = np.random.default_rng(1)
     msgs = rng.integers(0, 2, (4, sys_.k), dtype=np.uint8)
-    c, v = encode_frame(sys_, msgs, return_intermediate=True)
+    c, words = encode_frame(sys_, msgs, return_intermediate=True)
+    v = np.zeros((sys_.total_blocks, sys_.n), dtype=np.uint8)
+    v[:4] = encode_cartesian(sys_.basic, msgs)
+    assert np.array_equal(words[:, 0], v)  # perms[0] is the identity
     perms = sys_.interleavers.perms
     for t in range(sys_.total_blocks):
         ref = np.zeros(sys_.n, dtype=np.uint8)
@@ -102,11 +105,12 @@ def test_frame_encoding_linear(seed):
 def test_true_branch_words_convention():
     sys_ = make_system("RC[2,1]^5", m=2, L=3, seed=4)
     msgs = np.random.default_rng(2).integers(0, 2, (3, sys_.k), dtype=np.uint8)
-    _, v = encode_frame(sys_, msgs, return_intermediate=True)
-    w = true_branch_words(sys_, v)
+    _, words = encode_frame(sys_, msgs, return_intermediate=True)
+    v = words[:, 0]
+    assert np.array_equal(true_branch_words(sys_, v), words)
     for t in range(v.shape[0]):
         for i in range(sys_.m + 1):
-            assert np.array_equal(w[t, i], v[t][sys_.interleavers.perms[i]])
+            assert np.array_equal(words[t, i], v[t][sys_.interleavers.perms[i]])
 
 
 def test_frame_rate():

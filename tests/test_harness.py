@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from bmst.analysis import q_function
-from bmst.harness import (ConfigError, SimConfig, clopper_pearson,
-                          config_sidecar_path, predict_floor, run_point,
-                          run_sweep, simulate_frame)
+from bmst.harness import (RESULTS_VERSION, ConfigError, SimConfig,
+                          clopper_pearson, config_sidecar_path, predict_floor,
+                          run_point, run_sweep, simulate_frame)
 
 
 def small_cfg(**over):
@@ -153,8 +153,34 @@ def test_predict_floor_validates_and_computes():
 def test_content_hash_ignores_workers_and_names_the_kernel(monkeypatch):
     assert small_cfg(workers=1).content_hash() == small_cfg(workers=2).content_hash()
     base = small_cfg().content_hash()
-    monkeypatch.setattr("bmst.harness.KERNEL_ID", "pairwise")
+    monkeypatch.setattr("bmst.harness.RESULTS_VERSION", RESULTS_VERSION + 1)
     assert small_cfg().content_hash() != base
+
+
+# Seeded sweeps that RESULTS_VERSION names: every decoder, both code
+# families, and a d = 0 window decoder, whose windows run one iteration.
+DIGEST_SWEEPS = [
+    dict(decoder="swd", code="SPC[4,3]^10", m=2, d=4),
+    dict(decoder="swd", code="RC[2,1]^20", m=2, d=0),
+    dict(decoder="tpd", code="RC[2,1]^20", m=2, d=3),
+    dict(decoder="gad_perfect", code="RC[2,1]^20", m=2),
+    dict(decoder="gad_flipped", code="SPC[4,3]^10", m=2, p_genie=0.02),
+]
+RESULTS_DIGESTS = {2: "f978c597f6a1c20c7a04be66d17109c02569491f7f9db2c31ddf09dbda320bee"}
+
+
+def test_results_version_pins_seeded_results():
+    h = hashlib.sha256()
+    for over in DIGEST_SWEEPS:
+        cfg = SimConfig(L=6, ebn0_grid_db=(1.0, 3.0), seed=4, min_bit_errors=10,
+                        max_bits=5000, **over)
+        # the counts and mean_iters; the intervals come from scipy
+        for r in run_sweep(cfg):
+            h.update(repr((r.bits, r.errors, r.p1_bits, r.p1_errors, r.p2_errors,
+                           r.mean_iters)).encode())
+    assert h.hexdigest() == RESULTS_DIGESTS.get(RESULTS_VERSION), (
+        "seeded results differ from those that RESULTS_VERSION names: bump "
+        "bmst.harness.RESULTS_VERSION and pin the new digest here")
 
 
 def test_sweep_resumes_with_another_worker_count(tmp_path):
@@ -173,13 +199,13 @@ def test_sweep_refuses_results_of_another_kernel(tmp_path, monkeypatch):
     run_sweep(cfg, out_csv=out)
     sidecar = tmp_path / "r.config.json"
     stored = json.loads(sidecar.read_text())
-    # the identity a sidecar carried before the kernel was part of it
+    # the identity a sidecar carried before the results version was part of it
     old = hashlib.sha256(json.dumps(cfg.to_dict()).encode()).hexdigest()
     sidecar.write_text(json.dumps(dict(stored, content_hash=old)))
     with pytest.raises(ConfigError):
         run_sweep(cfg, out_csv=out)
     sidecar.write_text(json.dumps(stored))
-    monkeypatch.setattr("bmst.harness.KERNEL_ID", "pairwise")
+    monkeypatch.setattr("bmst.harness.RESULTS_VERSION", RESULTS_VERSION + 1)
     with pytest.raises(ConfigError):
         run_sweep(cfg, out_csv=out)
 

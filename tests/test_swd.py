@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 import bmst
 from bmst import kernels
 from bmst.channel import channel_llr, ebn0_to_sigma, transmit
-from bmst.codes import code_app_llr, code_extrinsic_llr
-from bmst.coupling import true_branch_words
+from bmst.codes import code_extrinsic_llr
 from bmst.kernels import (LLR_MAX, boxplus_numpy, boxplus_scalar, clamp,
                           leave_one_out_boxplus, llr_to_phi, phi)
 from bmst.swd import (WindowDecoder, binary_entropy_from_llr,
                       decode_frame_swd, hard_decision)
-from bmst.tpd import TpdConfig, decode_frame_tpd
+from bmst.tpd import decode_frame_tpd
 
 # identity element for pairwise boxplus chains; large enough that the
 # correction terms vanish, small enough that sums of a few do not overflow
@@ -150,11 +149,16 @@ def test_frames_match_with_pairwise_oracle_kernel(monkeypatch, spec, m):
     sigma = ebn0_to_sigma(2.0, sys_.basic.rate)
     y = transmit(bmst.bpsk_map(bmst.encode_frame(sys_, msgs)), sigma, rng)
     d = max(3 * m, 2)
-    decoders = (
-        lambda: decode_frame_swd(sys_, channel_llr(y, sigma), d=d, i_max=8),
-        lambda: decode_frame_tpd(sys_, y, sigma, TpdConfig(d=d, i_max=8)),
-    )
-    for decode in decoders:
+
+    def swd():
+        res = decode_frame_swd(sys_, channel_llr(y, sigma), d=d, i_max=8)
+        return res.u_hat, res.w_tilde, res.iterations
+
+    def tpd():
+        u_hat, phase1 = decode_frame_tpd(sys_, y, sigma, d=d, i_max=8)
+        return u_hat, phase1.w_tilde, phase1.iterations
+
+    for decode in (swd, tpd):
         fast = decode()
         plus_site, code_site = PairwiseOracle(), PairwiseOracle()
         monkeypatch.setattr("bmst.swd.leave_one_out_boxplus", plus_site)
@@ -165,8 +169,8 @@ def test_frames_match_with_pairwise_oracle_kernel(monkeypatch, spec, m):
         # the RC extrinsic is a sum and calls no kernel
         assert plus_site.calls > 0
         assert (code_site.calls > 0) == spec.startswith("SPC")
-        for name in ("u_hat", "w_tilde", "iterations"):
-            assert np.array_equal(getattr(fast, name), getattr(oracle, name))
+        for got, ref in zip(fast, oracle):
+            assert np.array_equal(got, ref)
 
 
 def test_hard_decision_sign_and_ties():
@@ -189,9 +193,15 @@ def test_noiseless_decode_recovers_messages():
     msgs = rng.integers(0, 2, (6, sys_.k), dtype=np.uint8)
     res = decode_frame_swd(sys_, _noiseless_llrs(sys_, msgs), d=6, i_max=18)
     assert np.array_equal(res.u_hat, msgs)
-    _, v = bmst.encode_frame(sys_, msgs, return_intermediate=True)
-    assert np.array_equal(res.w_tilde, true_branch_words(sys_, v[:6]))
+    _, words = bmst.encode_frame(sys_, msgs, return_intermediate=True)
+    assert np.array_equal(res.w_tilde, words[:6])
     assert res.iterations.max() <= 2  # entropy stop fires immediately
+
+
+def code_app_llr(code, llr):
+    """Full APP LLRs of the code bits of B stacked blocks: the input plus
+    the extrinsic output, clamped."""
+    return np.clip(llr + code_extrinsic_llr(code, llr), -LLR_MAX, LLR_MAX)
 
 
 def test_memory_zero_reduces_to_basic_code_map():
@@ -208,14 +218,6 @@ def test_memory_zero_reduces_to_basic_code_map():
         assert np.array_equal(res.u_hat[t], ref)
 
 
-def test_cold_start_option_still_decodes_noiseless():
-    sys_ = bmst.make_system("RC[2,1]^15", m=1, L=5, seed=8)
-    msgs = np.random.default_rng(9).integers(0, 2, (5, sys_.k), dtype=np.uint8)
-    res = decode_frame_swd(sys_, _noiseless_llrs(sys_, msgs), d=4, i_max=18,
-                           warm_start=False)
-    assert np.array_equal(res.u_hat, msgs)
-
-
 def test_decoder_input_validation():
     sys_ = bmst.make_system("RC[2,1]^5", m=1, L=3, seed=0)
     with pytest.raises(ValueError):
@@ -230,10 +232,9 @@ class FullScheduleDecoder:
     live-message schedule of WindowDecoder, which must emit the same
     bits."""
 
-    def __init__(self, sys_, llrs, d, i_max, warm_start):
+    def __init__(self, sys_, llrs, d, i_max):
         T, m, n = sys_.total_blocks, sys_.m, sys_.n
         self.sys, self.lch, self.d, self.i_max = sys_, llrs, d, i_max
-        self.warm_start = warm_start
         self.e2p = np.zeros((T, m + 1, n))
         self.e2p[sys_.L:] = LLR_MAX
         self.p2e = np.zeros((T, m + 1, n))
@@ -269,11 +270,7 @@ class FullScheduleDecoder:
         return app.reshape(-1, short.N)[:, :short.K].reshape(-1)
 
     def decode_step(self, te):
-        L = self.sys.L
         lo, hi = te, min(te + self.d, self.sys.total_blocks - 1)
-        if not self.warm_start:
-            self.e2p[lo:min(hi + 1, L)] = 0.0
-            self.p2e[lo:hi + 1] = 0.0
         prev_ent, iters = np.inf, 0
         for _ in range(self.max_iterations(te, hi)):
             for s in [*range(lo, hi + 1), *range(hi, lo - 1, -1)]:
@@ -294,14 +291,17 @@ class FullScheduleDecoder:
 
 
 SCHEDULE_SPECS = ["RC[2,1]^30", "SPC[4,3]^12"]
-SCHEDULE_GRID = [  # m, d, warm_start, i_max
-    (0, 2, True, 18), (1, 3, True, 18), (3, 6, True, 18), (8, 10, True, 18),
-    (3, 1, True, 18), (8, 4, True, 18),    # d < m
-    (1, 10, True, 18), (3, 11, True, 18),  # d > L
-    (3, 6, False, 18), (8, 10, True, 1),
-    (3, 0, True, 18), (0, 0, True, 18),    # one-layer window
-    (8, 10, False, 18),  # plus(te) runs once per window, after the reset
+SCHEDULE_GRID = [  # m, d, i_max
+    (0, 2, 18), (1, 3, 18), (3, 6, 18), (8, 10, 18),
+    (3, 1, 18), (8, 4, 18),    # d < m
+    (1, 10, 18), (3, 11, 18),  # d > L
+    (8, 10, 1),
+    (3, 0, 18), (0, 0, 18),    # one-layer window
 ]
+# case ids "m-d-True-i_max": the True names the window decoder's warm
+# start, as in the ids of the cases from when it was an option
+SCHEDULE_CASES = [pytest.param(m, d, i_max, id=f"{m}-{d}-True-{i_max}")
+                  for m, d, i_max in SCHEDULE_GRID]
 SCHEDULE_L = 8
 
 
@@ -319,13 +319,13 @@ def _schedule_frames(spec, m, d):
 
 
 @pytest.mark.parametrize("spec", SCHEDULE_SPECS)
-@pytest.mark.parametrize("m,d,warm_start,i_max", SCHEDULE_GRID)
-def test_live_message_schedule_matches_full_schedule(spec, m, d, warm_start, i_max):
+@pytest.mark.parametrize("m,d,i_max", SCHEDULE_CASES)
+def test_live_message_schedule_matches_full_schedule(spec, m, d, i_max):
     L = SCHEDULE_L
     sys_, frames = _schedule_frames(spec, m, d)
     for llr in frames:
-        res = decode_frame_swd(sys_, llr, d=d, i_max=i_max, warm_start=warm_start)
-        ref = FullScheduleDecoder(sys_, llr, d, i_max, warm_start)
+        res = decode_frame_swd(sys_, llr, d=d, i_max=i_max)
+        ref = FullScheduleDecoder(sys_, llr, d, i_max)
         for t in range(L):
             u_hat, v_hat, w_tilde, iters = ref.decode_step(t)
             assert np.array_equal(res.u_hat[t], u_hat)
@@ -343,14 +343,14 @@ class TwoPassReference(FullScheduleDecoder):
 
 
 @pytest.mark.parametrize("spec", SCHEDULE_SPECS)
-@pytest.mark.parametrize("m,d,warm_start,i_max",
-                         [case for case in SCHEDULE_GRID if case[0] == 0 or case[1] == 0])
-def test_idle_windows_run_one_iteration(spec, m, d, warm_start, i_max):
+@pytest.mark.parametrize("m,d,i_max", [case for case in SCHEDULE_CASES
+                                       if case.values[0] == 0 or case.values[1] == 0])
+def test_idle_windows_run_one_iteration(spec, m, d, i_max):
     sys_, frames = _schedule_frames(spec, m, d)
     for llr in frames:
-        res = decode_frame_swd(sys_, llr, d=d, i_max=i_max, warm_start=warm_start)
+        res = decode_frame_swd(sys_, llr, d=d, i_max=i_max)
         assert (res.iterations == 1).all()
-        ref = TwoPassReference(sys_, llr, d, i_max, warm_start)
+        ref = TwoPassReference(sys_, llr, d, i_max)
         for t in range(SCHEDULE_L):
             u_hat, v_hat, w_tilde, _ = ref.decode_step(t)
             assert np.array_equal(res.u_hat[t], u_hat)
@@ -378,12 +378,12 @@ class ScramblingDecoder(WindowDecoder):
 
 
 @pytest.mark.parametrize("spec", SCHEDULE_SPECS)
-@pytest.mark.parametrize("m,d,warm_start,i_max", SCHEDULE_GRID)
-def test_dead_messages_are_never_read(spec, m, d, warm_start, i_max):
+@pytest.mark.parametrize("m,d,i_max", SCHEDULE_CASES)
+def test_dead_messages_are_never_read(spec, m, d, i_max):
     sys_, frames = _schedule_frames(spec, m, d)
     for llr in frames:
-        res = decode_frame_swd(sys_, llr, d=d, i_max=i_max, warm_start=warm_start)
-        dec = ScramblingDecoder(sys_, llr, d, i_max, warm_start=warm_start)
+        res = decode_frame_swd(sys_, llr, d=d, i_max=i_max)
+        dec = ScramblingDecoder(sys_, llr, d, i_max)
         for t in range(SCHEDULE_L):
             u_hat, v_hat, w_tilde, iters = dec.decode_step(t)
             assert np.array_equal(res.u_hat[t], u_hat)

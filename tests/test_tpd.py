@@ -3,19 +3,18 @@ import pytest
 
 import bmst
 from bmst.channel import channel_llr, ebn0_to_sigma, transmit
-from bmst.coupling import true_branch_words
 from bmst.swd import decode_frame_swd
-from bmst.tpd import (SideInfoError, TpdConfig, decode_frame_gad,
-                      decode_frame_tpd, flipped_side_info, gad_cancel,
-                      gad_minimize, perfect_side_info, phase_one_side_info)
+from bmst.tpd import (SideInfoError, decode_frame_gad, decode_frame_tpd,
+                      flipped_side_info, gad_cancel, gad_minimize,
+                      phase_one_side_info)
 
 
 def _frame(spec, m, L, seed, msg_seed):
     sys_ = bmst.make_system(spec, m, L, seed)
     rng = np.random.default_rng(msg_seed)
     msgs = rng.integers(0, 2, (L, sys_.k), dtype=np.uint8)
-    c, v = bmst.encode_frame(sys_, msgs, return_intermediate=True)
-    return sys_, msgs, c, v
+    c, words = bmst.encode_frame(sys_, msgs, return_intermediate=True)
+    return sys_, msgs, c, words
 
 
 def oracle_cancel(sys_, y, words, t):
@@ -54,28 +53,26 @@ def oracle_gad_layer(sys_, y, words, t):
 
 
 def test_perfect_side_info_noiseless_gad():
-    sys_, msgs, c, v = _frame("RC[2,1]^10", 2, 5, 0, 1)
+    sys_, msgs, c, words = _frame("RC[2,1]^10", 2, 5, 0, 1)
     y = bmst.bpsk_map(c)  # no noise
-    u = decode_frame_gad(sys_, y, perfect_side_info(sys_, v))
+    u = decode_frame_gad(sys_, y, words)
     assert np.array_equal(u, msgs)
 
 
 def test_gad_cancel_strips_interference_exactly():
     # with perfect side info, the cleaned rows are the BPSK image of each
     # layer's own branch words (up to the channel noise)
-    sys_, msgs, c, v = _frame("SPC[4,3]^5", 2, 4, 3, 2)
+    sys_, msgs, c, w = _frame("SPC[4,3]^5", 2, 4, 3, 2)
     y = bmst.bpsk_map(c)
-    w = perfect_side_info(sys_, v)
     cleaned = gad_cancel(sys_, y, w)
     assert cleaned.shape == (sys_.L, sys_.m + 1, sys_.n)
     assert np.array_equal(cleaned, bmst.bpsk_map(w[:sys_.L]))
 
 
 def test_gad_ignores_own_layer_side_info():
-    sys_, msgs, c, v = _frame("RC[2,1]^10", 2, 5, 0, 4)
+    sys_, msgs, c, words = _frame("RC[2,1]^10", 2, 5, 0, 4)
     rng = np.random.default_rng(7)
     y = transmit(bmst.bpsk_map(c), 0.5, rng)
-    words = perfect_side_info(sys_, v)
     u_ref = decode_frame_gad(sys_, y, words)
     corrupted = words.copy()
     corrupted[2] ^= 1  # garbage in layer 2's own entries
@@ -84,21 +81,20 @@ def test_gad_ignores_own_layer_side_info():
 
 
 def test_flipped_side_info_rate_and_zero_limit():
-    sys_, msgs, c, v = _frame("RC[2,1]^500", 3, 20, 1, 5)
+    sys_, msgs, c, truth = _frame("RC[2,1]^500", 3, 20, 1, 5)
     rng = np.random.default_rng(11)
-    truth = true_branch_words(sys_, v)
-    words = flipped_side_info(sys_, v, 0.1, rng)
+    words = flipped_side_info(truth, 0.1, rng)
     rate = (words != truth).mean()
     assert rate == pytest.approx(0.1, rel=0.1)
-    clean = flipped_side_info(sys_, v, 0.0, rng)
+    clean = flipped_side_info(truth, 0.0, rng)
     assert np.array_equal(clean, truth)
 
 
 def test_gad_minimize_repetition_is_a_sign_test():
-    sys_, msgs, c, v = _frame("RC[2,1]^8", 1, 3, 2, 6)
+    sys_, msgs, c, words = _frame("RC[2,1]^8", 1, 3, 2, 6)
     rng = np.random.default_rng(3)
     y = transmit(bmst.bpsk_map(c), 0.8, rng)
-    cleaned = gad_cancel(sys_, y, perfect_side_info(sys_, v))
+    cleaned = gad_cancel(sys_, y, words)
     u_hat = gad_minimize(sys_, cleaned)
     for t in range(sys_.L):
         r = oracle_correlation(sys_, cleaned[t]).reshape(-1, 2).sum(axis=1)
@@ -114,11 +110,11 @@ def test_phase_one_side_info_pads_zero_tail():
     assert not words[3:].any()
 
 
-def _side_info(source, sys_, v, y, sigma, rng):
+def _side_info(source, sys_, words, y, sigma, rng):
     if source == "perfect":
-        return perfect_side_info(sys_, v)
+        return words
     if source == "flipped":
-        return flipped_side_info(sys_, v, 0.05, rng)
+        return flipped_side_info(words, 0.05, rng)
     ph1 = decode_frame_swd(sys_, channel_llr(y, sigma), d=sys_.m, i_max=2)
     return phase_one_side_info(sys_, ph1.w_tilde)
 
@@ -128,13 +124,13 @@ def _side_info(source, sys_, v, y, sigma, rng):
 @pytest.mark.parametrize("spec", ["RC[2,1]^8", "SPC[4,3]^4"])
 def test_whole_frame_gad_matches_per_layer_oracle(spec, m, source):
     for L in (1, 5, 40):
-        sys_, msgs, c, v = _frame(spec, m, L, seed=m + L, msg_seed=L)
+        sys_, msgs, c, truth = _frame(spec, m, L, seed=m + L, msg_seed=L)
         rng = np.random.default_rng([m, L])
         sigma = ebn0_to_sigma(1.0, sys_.basic.rate)
         # a noisy frame, and a noiseless one whose cleaned rows are +-1, so
         # that ties between codewords occur
         for y in (transmit(bmst.bpsk_map(c), sigma, rng), bmst.bpsk_map(c)):
-            words = _side_info(source, sys_, v, y, sigma, rng)
+            words = _side_info(source, sys_, truth, y, sigma, rng)
             cleaned = gad_cancel(sys_, y, words)
             u_hat = decode_frame_gad(sys_, y, words)
             for t in range(L):
@@ -143,22 +139,22 @@ def test_whole_frame_gad_matches_per_layer_oracle(spec, m, source):
 
 
 def test_tpd_noiseless_matches_messages_both_phases():
-    sys_, msgs, c, v = _frame("RC[2,1]^10", 2, 6, 4, 8)
+    sys_, msgs, c, words = _frame("RC[2,1]^10", 2, 6, 4, 8)
     y = bmst.bpsk_map(c)
-    res = decode_frame_tpd(sys_, y, 0.3, TpdConfig(d=6, i_max=10))
-    assert np.array_equal(res.u_hat, msgs)
-    assert np.array_equal(res.u_hat_phase1, msgs)
-    assert np.array_equal(res.w_tilde, true_branch_words(sys_, v[:6]))
+    u_hat, phase1 = decode_frame_tpd(sys_, y, 0.3, d=6, i_max=10)
+    assert np.array_equal(u_hat, msgs)
+    assert np.array_equal(phase1.u_hat, msgs)
+    assert np.array_equal(phase1.w_tilde, words[:6])
 
 
 def test_tpd_cleans_residual_errors_at_moderate_snr():
     # phase II with near-perfect side information enjoys the full diversity
     # gain, so it corrects frames the one-shot metric would get right anyway
-    sys_, msgs, c, v = _frame("RC[2,1]^100", 3, 20, 5, 9)
+    sys_, msgs, c, _ = _frame("RC[2,1]^100", 3, 20, 5, 9)
     sigma = ebn0_to_sigma(4.0, 0.5)
     y = transmit(bmst.bpsk_map(c), sigma, np.random.default_rng(13))
-    res = decode_frame_tpd(sys_, y, sigma, TpdConfig(d=6, i_max=18))
-    assert (res.u_hat != msgs).sum() == 0
+    u_hat, _ = decode_frame_tpd(sys_, y, sigma, d=6, i_max=18)
+    assert (u_hat != msgs).sum() == 0
 
 
 def test_side_info_shape_validation():

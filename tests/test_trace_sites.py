@@ -12,7 +12,7 @@ import pytest
 
 import bmst
 import bmst.tpd
-from bmst.tpd import TpdConfig, decode_frame_tpd
+from bmst.tpd import decode_frame_tpd
 
 SPEC_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
 
@@ -47,8 +47,8 @@ def test_tpd_frame_calls_the_traced_gad_sites(monkeypatch):
     sys_ = bmst.make_system("RC[2,1]^10", m=2, L=5, seed=0)
     msgs = np.random.default_rng(1).integers(0, 2, (5, sys_.k), dtype=np.uint8)
     y = bmst.bpsk_map(bmst.encode_frame(sys_, msgs))
-    res = decode_frame_tpd(sys_, y, 0.5, TpdConfig(d=2, i_max=4))
-    assert np.array_equal(res.u_hat, msgs)
+    u_hat, _ = decode_frame_tpd(sys_, y, 0.5, d=2, i_max=4)
+    assert np.array_equal(u_hat, msgs)
     # one call each per frame: perfbench's tpd.gad_*.us_per_layer metrics
     # divide by the calls, so they read microseconds per frame
     assert calls == {"gad_cancel": 1, "gad_minimize": 1}
