@@ -15,7 +15,8 @@ from .codes import CodeError, compute_iowef, parse_code_spec
 SCHEMA_VERSION = 1
 
 CONFIG_FIELDS = ("schema_version", *(f.name for f in dataclasses.fields(harness.SimConfig)))
-REQUIRED_FIELDS = ("schema_version", "code", "m", "L", "decoder", "ebn0_grid_db")
+REQUIRED_FIELDS = ("schema_version", *(f.name for f in dataclasses.fields(harness.SimConfig)
+                                        if f.default is dataclasses.MISSING))
 
 
 class UsageError(Exception):
@@ -98,16 +99,20 @@ def cmd_design(args):
 
 
 def cmd_bound(args):
+    if args.kind == "genie" and not args.p_genie:
+        raise UsageError("kind=genie requires at least one --p-genie")
+    if args.kind != "genie" and args.p_genie:
+        raise UsageError(f"kind={args.kind} takes no --p-genie")
+    if args.kind == "basic" and args.m is not None:
+        raise UsageError("kind=basic takes no --m: the basic code has no memory")
     cart = parse_code_spec(args.spec)
     iowef = compute_iowef(cart.short)
     grid = parse_grid(args.grid)
-    if args.kind == "genie" and not args.p_genie:
-        raise UsageError("kind=genie requires at least one --p-genie")
-    # --kind -> the curve kind, its memory and its genie flip probabilities;
-    # the basic code's union bound has no memory
-    kind, m, p_genies = {"basic": ("basic_union", 0, [None]),
-                         "lower": ("lower_bound", args.m, [None]),
-                         "genie": ("genie_bound", args.m, args.p_genie)}[args.kind]
+    # --kind -> the curve kind and its genie flip probabilities
+    kind, p_genies = {"basic": ("basic_union", [None]),
+                      "lower": ("lower_bound", [None]),
+                      "genie": ("genie_bound", args.p_genie)}[args.kind]
+    m = 0 if args.m is None else args.m
     curves = [analysis.make_bound_curve(iowef, kind, grid, args.spec.upper(), m=m, p_genie=p)
               for p in p_genies]
     analysis.write_bound_csv(args.out if args.out else sys.stdout, curves)
@@ -175,7 +180,7 @@ def build_parser():
     b = sub.add_parser("bound", help="emit analytic bound curves as CSV")
     b.add_argument("--spec", required=True, help='code spec, e.g. "RC[2,1]^5000"')
     b.add_argument("--kind", required=True, choices=["basic", "lower", "genie"])
-    b.add_argument("--m", type=int, default=0, help="encoding memory")
+    b.add_argument("--m", type=int, help="encoding memory (lower, genie; default 0)")
     b.add_argument("--grid", required=True, help='Eb/N0 grid "start:step:end" in dB')
     b.add_argument("--p-genie", type=float, action="append", default=[],
                    help="genie flip probability (repeatable)")

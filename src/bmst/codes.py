@@ -1,9 +1,9 @@
 """Short binary block codes, Cartesian products, IOWEFs and SISO MAP decoding.
 
 Codes are defined by a systematic generator matrix together with the full
-codebook (all 2^K message/codeword pairs), which keeps the brute-force MAP
-decoder and the weight enumerator exact. K is capped at 24 to bound the
-enumeration.
+codebook (all 2^K message/codeword pairs), which keeps the MAP decoder (a
+log-domain enumeration of the codebook) and the weight enumerator exact. K
+is capped at 24 to bound the enumeration.
 """
 
 import re
@@ -11,10 +11,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import expit
 
-from .kernels import LLR_MAX, blockwise_loo_boxplus, blockwise_loo_sum
+from .kernels import blockwise_loo_boxplus, blockwise_loo_sum, clamp
 
-PROB_CLAMP = 1e-12  # keeps Bayes products away from exact 0/1
+PROB_CLAMP = 1e-12  # keeps log priors finite
 MAX_K = 24
 
 
@@ -105,8 +106,23 @@ def compute_iowef(code):
 
 
 # ---------------------------------------------------------------------------
-# SISO MAP decoding (brute force over the codebook)
+# SISO MAP decoding (exact enumeration of the codebook, log domain)
 # ---------------------------------------------------------------------------
+
+def _bit_llrs(metric, bits):
+    """Bit LLRs of B blocks by exact enumeration of a codebook.
+
+    metric: (B, 2^K) log-metrics of the codewords, one row per block;
+    bits: (2^K, M) 0/1 table of the bits to score. Returns (B, M) LLRs: the
+    log of the summed weights of the words whose bit is 0, minus that of
+    the words whose bit is 1. Each row is shifted by its maximum, so its
+    best word weighs 1 and no sum overflows. A class that is empty (a
+    constant bit) or underflows gives +-inf, which the callers clamp."""
+    w = np.exp(metric - metric.max(axis=1, keepdims=True))
+    ones = np.asarray(bits, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        return np.log(w @ (1.0 - ones)) - np.log(w @ ones)
+
 
 def _check_priors(code, priors):
     priors = np.asarray(priors, dtype=np.float64)
@@ -117,70 +133,34 @@ def _check_priors(code, priors):
     return np.clip(priors, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def siso_map_decode(code, priors, extrinsic=False):
-    """Exact SISO MAP decoding of a short code by Bayes-rule enumeration.
+def siso_map_decode(code, priors):
+    """Exact SISO MAP decoding of a short code by enumeration.
 
     priors: (N, 2) array, priors[j, v] = P(c_j = v).
     Returns (code_post, msg_post): (N, 2) posteriors over code bits and
-    (K, 2) posteriors over message bits. With extrinsic=True the prior of
-    the bit itself is divided out of its code-bit output before
-    normalization (message outputs stay APP).
-    """
-    priors = _check_priors(code, priors)
-    cb = code.codebook  # (ncw, N)
-    # per-codeword weight = prod_j priors[j, cw_j]
-    pj = np.where(cb == 0, priors[:, 0], priors[:, 1])  # (ncw, N)
-    w = pj.prod(axis=1)  # (ncw,)
-
-    code_post = np.empty((code.N, 2))
-    for j in range(code.N):
-        wj = w / pj[:, j] if extrinsic else w
-        code_post[j, 0] = wj[cb[:, j] == 0].sum()
-        code_post[j, 1] = wj[cb[:, j] == 1].sum()
-    code_post /= code_post.sum(axis=1, keepdims=True)
-
-    msg_post = np.empty((code.K, 2))
-    mb = code.codebook_msgs
-    for j in range(code.K):
-        msg_post[j, 0] = w[mb[:, j] == 0].sum()
-        msg_post[j, 1] = w[mb[:, j] == 1].sum()
-    msg_post /= msg_post.sum(axis=1, keepdims=True)
-    return code_post, msg_post
-
-
-def llr_to_prior_pairs(llr):
-    """Map LLRs log(p0/p1) to (p0, p1) pairs."""
-    llr = np.clip(np.asarray(llr, dtype=np.float64), -LLR_MAX, LLR_MAX)
-    p1 = 1.0 / (1.0 + np.exp(llr))
-    return np.stack([1.0 - p1, p1], axis=-1)
-
-
-def prob_pairs_to_llr(pairs):
-    pairs = np.clip(np.asarray(pairs, dtype=np.float64), PROB_CLAMP, 1.0)
-    return np.clip(np.log(pairs[..., 0]) - np.log(pairs[..., 1]), -LLR_MAX, LLR_MAX)
-
-
-def siso_extrinsic_llr_bruteforce(code, llr):
-    """Brute-force extrinsic SISO in LLR form, one short block at a time.
-    Reference path for validating the closed-form RC/SPC kernels."""
-    post, _ = siso_map_decode(code, llr_to_prior_pairs(llr), extrinsic=True)
-    return prob_pairs_to_llr(post)
+    (K, 2) posteriors over message bits."""
+    logp = np.log(_check_priors(code, priors))
+    metric = np.where(code.codebook == 0, logp[:, 0], logp[:, 1]).sum(axis=1)
+    llr = _bit_llrs(metric[None], np.hstack([code.codebook, code.codebook_msgs]))[0]
+    post = np.stack([expit(llr), expit(-llr)], axis=1)
+    return post[:code.N], post[code.N:]
 
 
 def code_extrinsic_llr(code, llr):
     """Extrinsic SISO output for B stacked blocks of a short code, LLR in,
     LLR out. llr has length B*N. Uses closed forms for RC and SPC, the
-    brute-force Bayes path otherwise."""
+    exact enumeration of the codebook, for all blocks at once, otherwise."""
     llr = np.asarray(llr, dtype=np.float64)
     if code.kind == "rc":
         return blockwise_loo_sum(llr, code.N)
     if code.kind == "spc":
         return blockwise_loo_boxplus(llr, code.N)
     blocks = llr.reshape(-1, code.N)
-    out = np.empty_like(blocks)
-    for b in range(blocks.shape[0]):
-        out[b] = siso_extrinsic_llr_bruteforce(code, blocks[b])
-    return out.reshape(llr.shape)
+    # log P(c) up to a per-block constant: half the LLR-weighted sign sum
+    metric = 0.5 * blocks @ (1.0 - 2.0 * code.codebook).T
+    # the APP less the block's own input; clamped only after subtracting,
+    # so that a saturated input keeps its extrinsic
+    return clamp(_bit_llrs(metric, code.codebook) - blocks).reshape(llr.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,6 @@ RESULTS_VERSION = 2
 
 DECODERS = ("swd", "tpd", "gad_perfect", "gad_flipped")
 
-RESULT_CSV_HEADER = ["ebn0_db", "decoder", "bits", "errors", "ber", "ci_low",
-                     "ci_high", "p1_bits", "p1_errors", "p2_errors",
-                     "mean_iters", "seed", "truncated"]
-
-
 class ConfigError(ValueError):
     pass
 
@@ -119,6 +114,9 @@ class PointResult:
                 f"{self.mean_iters:.4f}", self.seed, int(self.truncated)]
 
 
+RESULT_CSV_HEADER = [f.name for f in fields(PointResult)]
+
+
 def clopper_pearson(errors, bits, conf=0.95):
     """Exact binomial confidence interval."""
     if bits == 0:
@@ -154,10 +152,9 @@ class FrameCounts:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
-def simulate_frame(cfg_dict, ebn0_db, point_idx, frame_idx):
-    """Encode, transmit and decode one frame; returns bit/error counts.
-    Module-level so process pools can pickle it."""
-    cfg = cfg_dict if isinstance(cfg_dict, SimConfig) else SimConfig(**cfg_dict)
+def simulate_frame(cfg, ebn0_db, point_idx, frame_idx):
+    """Encode, transmit and decode one frame of a SimConfig; returns
+    bit/error counts. Module-level so process pools can pickle it."""
     sys = _get_system(cfg)
     sigma = ebn0_to_sigma(ebn0_db, sys.basic.rate)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(point_idx, frame_idx)))
@@ -174,10 +171,13 @@ def simulate_frame(cfg_dict, ebn0_db, point_idx, frame_idx):
         out.iters = int(res.iterations.sum())
         out.layers = sys.L
     elif cfg.decoder == "tpd":
+        v = words[:sys.L, 0].copy()  # branch i of layer t is v[t, perms[i]]
+        del words  # only v is held through phase I
         u_hat, phase1 = decode_frame_tpd(sys, y, sigma, cfg.delay, cfg.i_max,
                                          cfg.stop_threshold)
         out.p1_bits = phase1.w_tilde.size
-        out.p1_errors = int(np.sum(phase1.w_tilde != words[:sys.L]))
+        out.p1_errors = sum(int(np.sum(phase1.w_tilde[:, i] != v[:, perm]))
+                            for i, perm in enumerate(sys.interleavers.perms))
         out.iters = int(phase1.iterations.sum())
         out.layers = sys.L
     elif cfg.decoder == "gad_perfect":
@@ -198,12 +198,11 @@ def _frames(cfg, ebn0_db, point_idx):
     if cfg.workers <= 1:
         for f in itertools.count():
             yield simulate_frame(cfg, ebn0_db, point_idx, f)
-    cfg_dict = cfg.to_dict()
     with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
         pending = deque()
         try:
             for f in itertools.count():
-                pending.append(ex.submit(simulate_frame, cfg_dict, ebn0_db, point_idx, f))
+                pending.append(ex.submit(simulate_frame, cfg, ebn0_db, point_idx, f))
                 if len(pending) == 2 * cfg.workers:
                     yield pending.popleft().result()
         finally:

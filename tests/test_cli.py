@@ -69,6 +69,15 @@ def test_bound_genie_needs_p(capsys):
                  "--m", "2", "--grid", "2:1:4"]) == 1
 
 
+@pytest.mark.parametrize("kind, flag", [("basic", ["--m", "3"]),
+                                        ("basic", ["--p-genie", "1e-3"]),
+                                        ("lower", ["--p-genie", "1e-3"])])
+def test_bound_rejects_flags_its_kind_ignores(capsys, kind, flag):
+    assert main(["bound", "--spec", "RC[2,1]^100", "--kind", kind,
+                 "--grid", "2:1:4", *flag]) == 1
+    assert flag[0] in capsys.readouterr().err
+
+
 def test_bound_stdout(capsys):
     rc = main(["bound", "--spec", "SPC[4,3]^10", "--kind", "basic",
                "--grid", "5:1:6"])

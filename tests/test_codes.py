@@ -1,15 +1,20 @@
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmst.codes import (CodeError, code_extrinsic_llr, compute_iowef,
-                        encode_cartesian, llr_to_prior_pairs, make_code,
-                        make_repetition, make_spc, parse_code_spec,
-                        prob_pairs_to_llr, siso_extrinsic_llr_bruteforce,
-                        siso_map_decode)
+                        encode_cartesian, make_code, make_repetition, make_spc,
+                        parse_code_spec, siso_map_decode)
+from bmst.kernels import LLR_MAX
+
+HAMMING74 = [[1, 0, 0, 0, 1, 1, 0],
+             [0, 1, 0, 0, 1, 0, 1],
+             [0, 0, 1, 0, 0, 1, 1],
+             [0, 0, 0, 1, 1, 1, 1]]
 
 
 def test_repetition_construction():
@@ -72,9 +77,9 @@ def test_siso_map_hand_computed():
     post, msg_post = siso_map_decode(rc, [[0.9, 0.1], [0.6, 0.4]])
     assert np.allclose(post[0], [0.54 / 0.58, 0.04 / 0.58])
     assert np.allclose(msg_post[0], [0.54 / 0.58, 0.04 / 0.58])
-    # extrinsic on bit 0 divides out its own prior: weights .6 / .4
-    ext, _ = siso_map_decode(rc, [[0.9, 0.1], [0.6, 0.4]], extrinsic=True)
-    assert np.allclose(ext[0], [0.6, 0.4])
+    # the extrinsic LLR of bit 0 leaves out its own prior: log(.6 / .4)
+    ext = code_extrinsic_llr(make_code([[1, 1]]), [np.log(9.0), np.log(1.5)])
+    assert ext[0] == pytest.approx(np.log(1.5), abs=1e-12)
 
 
 def test_siso_map_rejects_bad_priors():
@@ -85,30 +90,56 @@ def test_siso_map_rejects_bad_priors():
         siso_map_decode(rc, [[0.9, 0.1]])
 
 
-def test_llr_prior_roundtrip():
-    llr = np.array([-3.0, 0.0, 0.5, 7.0])
-    back = prob_pairs_to_llr(llr_to_prior_pairs(llr))
-    assert np.allclose(back, llr, atol=1e-9)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_closed_form_extrinsic_matches_bruteforce(N, seed):
+    # oracle: the codebook enumeration on the same generator
     rng = np.random.default_rng(seed)
     llr = rng.normal(0.0, 3.0, size=2 * N)
     for code in (make_repetition(N), make_spc(N)):
-        fast = code_extrinsic_llr(code, llr[:2 * code.N].reshape(-1))
-        blocks = llr[:2 * code.N].reshape(2, code.N)
-        slow = np.vstack([siso_extrinsic_llr_bruteforce(code, b) for b in blocks])
-        assert np.allclose(fast.reshape(2, code.N), slow, atol=1e-6)
+        fast = code_extrinsic_llr(code, llr)
+        slow = code_extrinsic_llr(make_code(code.generator), llr)
+        assert np.allclose(fast, slow, rtol=0.0, atol=1e-12)
+
+
+def extrinsic_oracle(code, block):
+    """Extrinsic LLRs of one block by a loop over the codewords, in
+    mpmath: the log of the summed weights of the words with c_j = 0, less
+    that of the words with c_j = 1, each weight leaving out bit j; clamped."""
+    out = []
+    for j in range(code.N):
+        sums = [mpmath.mpf(0), mpmath.mpf(0)]
+        for cw in code.codebook:
+            sums[cw[j]] += mpmath.exp(sum(mpmath.mpf(block[i]) * (0.5 - int(cw[i]))
+                                          for i in range(code.N) if i != j))
+        logs = [mpmath.log(x) if x else -mpmath.inf for x in sums]
+        out.append(float(min(max(logs[0] - logs[1], -LLR_MAX), LLR_MAX)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("generator", [HAMMING74,
+                                       [[1, 0, 1, 0], [0, 1, 1, 0]]],  # last column 0
+                         ids=["hamming74", "zero-column"])
+def test_generic_extrinsic_matches_codeword_loop(generator):
+    code = make_code(generator)
+    rng = np.random.default_rng(11)
+    blocks = np.vstack([np.full(code.N, LLR_MAX), np.full(code.N, -LLR_MAX),
+                        np.zeros(code.N),
+                        rng.choice([-LLR_MAX, 0.0, LLR_MAX], size=(6, code.N)),
+                        rng.normal(0.0, 6.0, size=(6, code.N))])
+    ext = code_extrinsic_llr(code, blocks.reshape(-1)).reshape(blocks.shape)
+    assert not np.any(np.isnan(ext))
+    ref = np.vstack([extrinsic_oracle(code, b) for b in blocks])
+    assert np.allclose(ext, ref, rtol=0.0, atol=1e-12)
 
 
 def test_code_app_is_input_plus_extrinsic():
-    # the brute-force APP, own prior included
+    # the enumerated APP, own prior included
     spc = make_spc(4)
     llr = np.array([1.0, -2.0, 0.5, 3.0])
-    post, _ = siso_map_decode(spc, llr_to_prior_pairs(llr))
-    assert np.allclose(prob_pairs_to_llr(post), llr + code_extrinsic_llr(spc, llr),
+    p1 = 1.0 / (1.0 + np.exp(llr))
+    post, _ = siso_map_decode(spc, np.stack([1.0 - p1, p1], axis=1))
+    assert np.allclose(np.log(post[:, 0] / post[:, 1]), llr + code_extrinsic_llr(spc, llr),
                        atol=1e-9)
 
 

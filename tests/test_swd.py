@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import bmst
 from bmst import kernels
 from bmst.channel import channel_llr, ebn0_to_sigma, transmit
-from bmst.codes import code_extrinsic_llr
+from bmst.codes import CartesianCode, code_extrinsic_llr, make_code
 from bmst.kernels import (LLR_MAX, boxplus_numpy, boxplus_scalar, clamp,
                           leave_one_out_boxplus, llr_to_phi, phi)
 from bmst.swd import (WindowDecoder, binary_entropy_from_llr,
@@ -196,6 +196,24 @@ def test_noiseless_decode_recovers_messages():
     _, words = bmst.encode_frame(sys_, msgs, return_intermediate=True)
     assert np.array_equal(res.w_tilde, words[:6])
     assert res.iterations.max() <= 2  # entropy stop fires immediately
+
+
+def test_noiseless_generic_code_frame_decodes():
+    # Hamming [7,4] has no closed form: its replication nodes run the
+    # codebook enumeration of codes.code_extrinsic_llr. Every third
+    # received value is erased, so the decisions there rest on it.
+    hamming = make_code([[1, 0, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 0, 1],
+                         [0, 0, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]])
+    sys_ = bmst.make_system(CartesianCode(hamming, 20), m=2, L=6, seed=1)
+    rng = np.random.default_rng(5)
+    msgs = rng.integers(0, 2, (6, sys_.k), dtype=np.uint8)
+    y = bmst.bpsk_map(bmst.encode_frame(sys_, msgs))
+    y[:, ::3] = 0.0
+    res = decode_frame_swd(sys_, LLR_MAX * y, d=6, i_max=18)
+    assert np.array_equal(res.u_hat, msgs)
+    u_hat, phase1 = decode_frame_tpd(sys_, y, 0.5, d=6, i_max=18)
+    assert np.array_equal(u_hat, msgs)
+    assert np.array_equal(phase1.u_hat, msgs)
 
 
 def code_app_llr(code, llr):
