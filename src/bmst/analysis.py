@@ -11,8 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import erfc, gammaln, logsumexp
-from scipy.stats import norm
+from scipy.special import erfc, gammaln, log_ndtr, logsumexp
 
 from .channel import ebn0_to_sigma
 
@@ -26,7 +25,7 @@ def q_function(x):
 
 def log_q(x):
     """log Q(x), stable for large x."""
-    return norm.logsf(x)
+    return log_ndtr(-np.asarray(x, dtype=np.float64))
 
 
 def _iowef_terms(iowef):
@@ -172,6 +171,8 @@ def flip_probability(p_genie, m):
         raise ValueError("m must be >= 0")
     if m == 0 or p_genie == 0.0:
         return 0.0
+    if p_genie == 0.5:  # (1-2p)^m = 0, whose log1p form would divide by zero
+        return 0.5
     return -np.expm1(m * np.log1p(-2.0 * p_genie)) / 2.0
 
 

@@ -57,10 +57,26 @@ def _enumerate_codebook(generator):
     return msgs, cws.astype(np.uint8)
 
 
+# the generator each closed-form kind requires at length N
+_CLOSED_FORM_GENERATORS = {
+    "rc": lambda N: np.ones((1, N), dtype=np.uint8),
+    "spc": lambda N: np.hstack([np.eye(N - 1, dtype=np.uint8),
+                                np.ones((N - 1, 1), dtype=np.uint8)]),
+}
+
+
 def make_code(generator, kind="generic"):
-    """Build a ShortCode from a K x N binary generator matrix."""
+    """Build a ShortCode from a K x N binary generator matrix. kind "rc" and
+    "spc" select closed-form SISO paths, so they need the all-ones row and
+    [I | 1] respectively."""
     generator = np.asarray(generator, dtype=np.uint8) % 2
     k, n = generator.shape
+    if kind != "generic":
+        if kind not in _CLOSED_FORM_GENERATORS:
+            raise CodeError(f"unknown code kind {kind!r}: use 'generic', 'rc' or 'spc'")
+        if not np.array_equal(generator, _CLOSED_FORM_GENERATORS[kind](n)):
+            raise CodeError(f"kind {kind!r} needs the {kind.upper()} generator; "
+                            "use kind='generic' for any other code")
     if k > MAX_K:
         raise CodeError(f"K={k} exceeds enumeration cap {MAX_K}")
     msgs, cws = _enumerate_codebook(generator)
@@ -74,7 +90,7 @@ def make_repetition(N):
     """The [N, 1] repetition code (all-ones generator row)."""
     if N < 1:
         raise CodeError("repetition code needs N >= 1")
-    return make_code(np.ones((1, N), dtype=np.uint8), kind="rc")
+    return make_code(_CLOSED_FORM_GENERATORS["rc"](N), kind="rc")
 
 
 def make_spc(N):
@@ -82,8 +98,7 @@ def make_spc(N):
     bit last (XOR of the message bits)."""
     if N < 2:
         raise CodeError("SPC code needs N >= 2")
-    gen = np.hstack([np.eye(N - 1, dtype=np.uint8), np.ones((N - 1, 1), dtype=np.uint8)])
-    return make_code(gen, kind="spc")
+    return make_code(_CLOSED_FORM_GENERATORS["spc"](N), kind="spc")
 
 
 @dataclass(frozen=True)

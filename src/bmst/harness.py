@@ -18,7 +18,7 @@ from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.stats import beta
+from scipy.special import betaincinv
 
 from . import analysis
 from .channel import channel_llr, ebn0_to_sigma, transmit
@@ -122,8 +122,8 @@ def clopper_pearson(errors, bits, conf=0.95):
     if bits == 0:
         return 0.0, 1.0
     a = (1.0 - conf) / 2.0
-    lo = 0.0 if errors == 0 else float(beta.ppf(a, errors, bits - errors + 1))
-    hi = 1.0 if errors == bits else float(beta.ppf(1.0 - a, errors + 1, bits - errors))
+    lo = 0.0 if errors == 0 else float(betaincinv(errors, bits - errors + 1, a))
+    hi = 1.0 if errors == bits else float(betaincinv(errors + 1, bits - errors, 1.0 - a))
     return lo, hi
 
 

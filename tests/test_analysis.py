@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from bmst.analysis import (biawgn_capacity, bound_csv_rows, design_memory,
                            find_gamma_target, flip_probability, genie_bound,
@@ -21,6 +22,19 @@ def test_q_function_values():
     assert q_function(0.0) == pytest.approx(0.5)
     assert q_function(1.0) == pytest.approx(0.15865525, abs=1e-8)
     assert np.exp(log_q(40.0)) == pytest.approx(q_function(40.0), rel=1e-9)
+
+
+def test_log_q_is_scipy_stats_norm_logsf_exactly():
+    # log_q calls scipy.special.log_ndtr(-x), which norm.logsf wraps; this
+    # pins the identity on the installed scipy
+    x = np.concatenate([np.linspace(-40.0, 40.0, 20001), np.geomspace(1e-300, 40.0, 2000),
+                        -np.geomspace(1e-300, 40.0, 2000),
+                        [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 37.5, 38.5]])
+    got, want = log_q(x), norm.logsf(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    for xi in (0.0, -0.0, 1.0, 40.0, -40.0, np.inf, -np.inf, 3):
+        assert log_q(xi) == norm.logsf(xi)
 
 
 def test_union_bound_monotone_decreasing():
@@ -92,6 +106,18 @@ def test_flip_probability_against_binomial_oracle():
         assert closed == pytest.approx(flip_oracle(p, m), rel=1e-12, abs=1e-300)
     assert flip_probability(0.0, 10) == 0.0
     assert flip_probability(0.3, 0) == 0.0
+
+
+def test_coin_flip_side_information_is_exact_and_silent():
+    # p_genie = 0.5 makes (1-2p)^m vanish; RuntimeWarnings are errors here
+    iow = iowef_rc2()
+    for m in (1, 3, 30):
+        assert flip_probability(0.5, m) == 0.5
+        # each look is a fair coin, so majority failure (ties half) is 1/2
+        assert genie_floor(iow, m, 0.5) == pytest.approx(0.5, rel=1e-12)
+        for g in (0.0, 2.0, 10.0):
+            assert genie_bound(iow, m, 0.5, g) == pytest.approx(0.5, rel=1e-12)
+    assert flip_probability(0.5, 0) == 0.0
 
 
 def test_pep_reduces_to_q_without_flips():

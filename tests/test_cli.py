@@ -1,12 +1,30 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bmst
 from bmst.cli import (load_config, main, parse_grid, parse_rate, short_code_for,
                       UsageError)
 from bmst.harness import SimConfig
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats costs about a second of start-up for every CLI call and
+    # pool worker; bmst needs only scipy.special
+    src = str(Path(bmst.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, bmst, bmst.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_parse_rate():

@@ -36,6 +36,19 @@ def test_make_code_rejects_rank_deficient():
         make_code([[1, 1], [1, 1]])
 
 
+def test_make_code_checks_kind_against_generator():
+    spc3 = [[1, 0, 1], [0, 1, 1]]
+    for generator, kind in [(spc3, "rc"), ([[1, 1, 1]], "spc"), ([[1, 0, 1]], "rc"),
+                            ([[0, 1, 1], [1, 0, 1]], "spc"), (spc3, "bogus")]:
+        with pytest.raises(CodeError):
+            make_code(generator, kind=kind)
+    assert make_code(spc3, kind="spc").kind == "spc"
+    assert make_code([[1, 1, 1]], kind="rc").kind == "rc"
+    # RC[2,1] is SPC[2,1]: both closed forms hold for it
+    assert make_code([[1, 1]], kind="spc").kind == "spc"
+    assert make_code(spc3).kind == "generic"
+
+
 def test_make_code_rejects_large_k():
     with pytest.raises(CodeError):
         make_code(np.eye(25, dtype=np.uint8))

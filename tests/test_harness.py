@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import beta
 
 from bmst.analysis import q_function
 from bmst.harness import (RESULTS_VERSION, ConfigError, SimConfig,
@@ -49,6 +50,23 @@ def test_clopper_pearson():
     lo, hi = clopper_pearson(10, 1000)
     assert lo < 0.01 < hi
     assert clopper_pearson(0, 0) == (0.0, 1.0)
+
+
+def test_clopper_pearson_is_scipy_stats_beta_ppf_exactly():
+    # clopper_pearson calls scipy.special.betaincinv(a, b, q), which
+    # beta.ppf(q, a, b) wraps; this pins the identity on the installed scipy
+    rng = np.random.default_rng(0)
+    pairs = [(0, 0)]
+    for bits in [1, 2, 3, 7, 100, 1000, 123_457, 10**6, 10**8, 10**9,
+                 *rng.integers(1, 10**9, 20).tolist()]:
+        errors = {0, 1, 2, bits // 2, bits - 1, bits, min(bits, 100), min(bits, 227),
+                  *rng.integers(0, bits + 1, 15).tolist()}
+        pairs += [(e, bits) for e in sorted(errors) if e <= bits]
+    a = (1.0 - 0.95) / 2.0  # the tail clopper_pearson derives from conf=0.95
+    for errors, bits in pairs:
+        lo = 0.0 if errors == 0 else float(beta.ppf(a, errors, bits - errors + 1))
+        hi = 1.0 if errors == bits else float(beta.ppf(1.0 - a, errors + 1, bits - errors))
+        assert clopper_pearson(errors, bits) == (lo, hi), (errors, bits)
 
 
 def test_frame_counts_deterministic():
