@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis, harness
-from .codes import CodeError, compute_iowef, parse_code_spec
+from .codes import FAMILIES, CodeError, compute_iowef, parse_code_spec
 
 SCHEMA_VERSION = 1
 
@@ -57,18 +57,16 @@ def parse_grid(text):
     return grid
 
 
-_FAMILY_NAMES = {"rc": "repetition", "spc": "single parity-check"}
-
-
 def short_code_for(family, rate):
-    """Map (family, rate) to the short code: RC[N,1] has rate 1/N,
-    SPC[N,N-1] has rate (N-1)/N."""
-    if family not in _FAMILY_NAMES:
-        raise UsageError(f"unknown family {family!r}")
+    """The code of a FAMILIES family at N = the rate's denominator, if its
+    K is the rate's numerator: RC[N,1] has rate 1/N, SPC[N,N-1] (N-1)/N."""
     try:
-        return parse_code_spec(f"{family}[{rate.denominator},{rate.numerator}]^1").short
-    except CodeError:
-        raise UsageError(f"no {_FAMILY_NAMES[family]} code of rate {rate}") from None
+        code = FAMILIES[family](rate.denominator)
+        if code.K == rate.numerator:
+            return code
+    except (KeyError, CodeError):
+        pass
+    raise UsageError(f"no {family.upper()} code of rate {rate}")
 
 
 def cmd_design(args):
@@ -157,8 +155,6 @@ def cmd_simulate(args):
 
 
 def cmd_predict(args):
-    if not 0.0 < args.p1 < 0.5:
-        raise UsageError("p_I must be in (0, 0.5)")
     pred = harness.predict_floor(args.spec, args.m, args.p1, args.ebn0)
     lb = analysis.lower_bound(compute_iowef(parse_code_spec(args.spec).short), args.m, args.ebn0)
     print(f"predicted p_II  {pred:.3e}")
@@ -173,7 +169,7 @@ def build_parser():
     d = sub.add_parser("design", help="pick the encoding memory for a rate and target BER")
     d.add_argument("--rate", required=True, help="code rate as a fraction, e.g. 1/2")
     d.add_argument("--target", required=True, type=float, help="target BER, e.g. 1e-15")
-    d.add_argument("--family", required=True, choices=["rc", "spc"])
+    d.add_argument("--family", required=True, choices=sorted(FAMILIES))
     d.add_argument("--out", help="write the design as JSON")
     d.set_defaults(func=cmd_design)
 

@@ -7,7 +7,7 @@ is capped at 24 to bound the enumeration.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +29,7 @@ class ShortCode:
 
     codebook_msgs rows are all K-bit messages in lexicographic order
     (bit 0 most significant), codebook rows are the matching codewords.
-    kind is "rc", "spc" or "generic" and selects fast SISO paths.
+    kind ("generic" or the FAMILIES key of its builder) selects the SISO path.
     """
 
     N: int
@@ -57,48 +57,41 @@ def _enumerate_codebook(generator):
     return msgs, cws.astype(np.uint8)
 
 
-# the generator each closed-form kind requires at length N
-_CLOSED_FORM_GENERATORS = {
-    "rc": lambda N: np.ones((1, N), dtype=np.uint8),
-    "spc": lambda N: np.hstack([np.eye(N - 1, dtype=np.uint8),
-                                np.ones((N - 1, 1), dtype=np.uint8)]),
-}
-
-
-def make_code(generator, kind="generic"):
-    """Build a ShortCode from a K x N binary generator matrix. kind "rc" and
-    "spc" select closed-form SISO paths, so they need the all-ones row and
-    [I | 1] respectively."""
+def make_code(generator):
+    """Build a ShortCode from a K x N binary generator matrix. Its SISO
+    path enumerates the codebook; the closed forms are the FAMILIES'."""
     generator = np.asarray(generator, dtype=np.uint8) % 2
     k, n = generator.shape
-    if kind != "generic":
-        if kind not in _CLOSED_FORM_GENERATORS:
-            raise CodeError(f"unknown code kind {kind!r}: use 'generic', 'rc' or 'spc'")
-        if not np.array_equal(generator, _CLOSED_FORM_GENERATORS[kind](n)):
-            raise CodeError(f"kind {kind!r} needs the {kind.upper()} generator; "
-                            "use kind='generic' for any other code")
     if k > MAX_K:
         raise CodeError(f"K={k} exceeds enumeration cap {MAX_K}")
     msgs, cws = _enumerate_codebook(generator)
     if len({cw.tobytes() for cw in cws}) != 2 ** k:
         raise CodeError("generator is not full rank: duplicate codewords")
-    return ShortCode(N=n, K=k, generator=generator, codebook_msgs=msgs,
-                     codebook=cws, kind=kind)
+    return ShortCode(N=n, K=k, generator=generator, codebook_msgs=msgs, codebook=cws)
+
+
+def _family_code(generator, kind):
+    # set, not derived from the generator: RC[2,1] and SPC[2,1] share
+    # theirs, but their closed forms round off differently
+    return replace(make_code(generator), kind=kind)
 
 
 def make_repetition(N):
     """The [N, 1] repetition code (all-ones generator row)."""
     if N < 1:
         raise CodeError("repetition code needs N >= 1")
-    return make_code(_CLOSED_FORM_GENERATORS["rc"](N), kind="rc")
+    return _family_code(np.ones((1, N)), "rc")
 
 
 def make_spc(N):
     """The [N, N-1] single parity-check code, systematic with the parity
     bit last (XOR of the message bits)."""
-    if N < 2:
-        raise CodeError("SPC code needs N >= 2")
-    return make_code(_CLOSED_FORM_GENERATORS["spc"](N), kind="spc")
+    if not 2 <= N <= MAX_K + 1:
+        raise CodeError(f"SPC code needs 2 <= N <= {MAX_K + 1}")
+    return _family_code(np.hstack([np.eye(N - 1), np.ones((N - 1, 1))]), "spc")
+
+
+FAMILIES = {"rc": make_repetition, "spc": make_spc}  # spec name -> builder, given N
 
 
 @dataclass(frozen=True)
@@ -217,23 +210,22 @@ def encode_cartesian(cart, message):
     return ((blocks @ cart.short.generator) % 2).astype(np.uint8).reshape(*lead, cart.n)
 
 
-_SPEC_RE = re.compile(r"^(rc|spc)\[(\d+),(\d+)\]\^(\d+)$", re.IGNORECASE)
+_SPEC_RE = re.compile(rf"^({'|'.join(FAMILIES)})\[(\d+),(\d+)\]\^(\d+)$", re.IGNORECASE)
 
 
 @lru_cache(maxsize=None)
 def _short_code(family, N):
-    return make_repetition(N) if family == "rc" else make_spc(N)
+    return FAMILIES[family](N)
 
 
 def parse_code_spec(spec):
-    """Parse "RC[N,1]^B" / "SPC[N,N-1]^B" (case-insensitive) into a
-    CartesianCode."""
+    """Parse "<family>[N,K]^B", family a FAMILIES key in any case (e.g.
+    "RC[2,1]^5000", "SPC[4,3]^2500"), into a CartesianCode."""
     m = _SPEC_RE.match(spec.strip())
     if not m:
         raise CodeError(f"unrecognized code spec {spec!r}")
     family, N, K, B = m.group(1).lower(), int(m.group(2)), int(m.group(3)), int(m.group(4))
-    if family == "rc" and K != 1:
-        raise CodeError(f"repetition code must be [N,1], got {spec!r}")
-    if family == "spc" and K != N - 1:
-        raise CodeError(f"SPC code must be [N,N-1], got {spec!r}")
-    return CartesianCode(short=_short_code(family, N), B=B)
+    short = _short_code(family, N)
+    if K != short.K:
+        raise CodeError(f"bad K in {spec!r}: the code is {family.upper()}[{short.N},{short.K}]")
+    return CartesianCode(short=short, B=B)

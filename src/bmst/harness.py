@@ -25,7 +25,7 @@ from .channel import channel_llr, ebn0_to_sigma, transmit
 from .codes import compute_iowef, parse_code_spec
 from .coupling import bpsk_map, encode_frame, make_system
 from .coupling import true_branch_words  # noqa: F401  trace site harness.true_branch_words
-from .swd import decode_frame_swd
+from .swd import STOP_THRESHOLD, decode_frame_swd
 from .tpd import decode_frame_gad, decode_frame_tpd, flipped_side_info
 
 # Names the decoders' seeded results. Every change that alters a result
@@ -55,7 +55,7 @@ class SimConfig:
     max_seconds: float = -1.0    # <= 0 -> no wall-clock cap
     seed: int = 0
     workers: int = 1
-    stop_threshold: float = 1e-5
+    stop_threshold: float = STOP_THRESHOLD
 
     def __post_init__(self):
         if self.decoder not in DECODERS:
@@ -64,8 +64,10 @@ class SimConfig:
             raise ConfigError("gad_flipped needs p_genie in [0, 0.5]")
         if not self.ebn0_grid_db:
             raise ConfigError("ebn0 grid must be non-empty")
-        if self.m < 0 or self.L < 1:
-            raise ConfigError("need m >= 0 and L >= 1")
+        for name, low in (("m", 0), ("L", 1), ("d", -1), ("i_max", 1),
+                          ("min_bit_errors", 1), ("max_bits", 1), ("workers", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"need {name} >= {low}, got {getattr(self, name)}")
         if self.decoder == "tpd" and self.delay < self.m:
             raise ConfigError("TPD needs d >= m")
         parse_code_spec(self.code)  # validate spec string early

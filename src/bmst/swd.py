@@ -73,6 +73,9 @@ from .kernels import LLR_MAX, clamp, leave_one_out_boxplus, llr_to_phi, phi
 # message is phi(0) = inf, a known bit is phi(LLR_MAX) with its sign
 _PHI_UNIFORM = np.inf
 _PHI_MAX = float(phi(LLR_MAX))
+# the default stop of every decoder and of SimConfig: a window ends once the
+# mean binary entropy of its target layer's message bits falls below it
+STOP_THRESHOLD = 1e-5
 
 
 def binary_entropy_from_llr(llr):
@@ -101,7 +104,7 @@ class SwdResult:
 class WindowDecoder:
     """Streaming window decoder for one frame; decode_frame_swd drives it."""
 
-    def __init__(self, sys, llrs, d, i_max, stop_threshold=1e-5):
+    def __init__(self, sys, llrs, d, i_max, stop_threshold=STOP_THRESHOLD):
         T = sys.total_blocks
         llrs = np.asarray(llrs, dtype=np.float64)
         if llrs.shape != (T, sys.n):
@@ -206,7 +209,7 @@ class WindowDecoder:
         return app.reshape(self.sys.basic.B, short.N)[:, :short.K].reshape(-1)
 
 
-def decode_frame_swd(sys, llrs, d, i_max, stop_threshold=1e-5):
+def decode_frame_swd(sys, llrs, d, i_max, stop_threshold=STOP_THRESHOLD):
     """Slide the window across a complete frame, emitting layers 0..L-1."""
     dec = WindowDecoder(sys, llrs, d, i_max, stop_threshold)
     L, m, n = sys.L, sys.m, sys.n

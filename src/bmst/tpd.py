@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import channel_llr
 from .coupling import superpose
-from .swd import decode_frame_swd
+from .swd import STOP_THRESHOLD, decode_frame_swd
 
 
 class SideInfoError(ValueError):
@@ -84,7 +84,7 @@ def decode_frame_gad(sys, y, words):
     return gad_minimize(sys, gad_cancel(sys, y, words))
 
 
-def decode_frame_tpd(sys, y, sigma, d, i_max, stop_threshold=1e-5):
+def decode_frame_tpd(sys, y, sigma, d, i_max, stop_threshold=STOP_THRESHOLD):
     """Phase I: sliding-window decode the frame, collecting the hard
     extrinsic branch decisions. Phase II: genie-aided decode every layer
     treating those decisions as side information (the target layer's own

@@ -11,6 +11,7 @@ import pytest
 import bmst
 from bmst.cli import (load_config, main, parse_grid, parse_rate, short_code_for,
                       UsageError)
+from bmst.codes import FAMILIES
 from bmst.harness import SimConfig
 
 
@@ -45,10 +46,21 @@ def test_parse_grid():
 def test_short_code_for():
     assert short_code_for("rc", parse_rate("1/4")).N == 4
     assert short_code_for("spc", parse_rate("7/8")).N == 8
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="RC code of rate 2/5"):
         short_code_for("rc", parse_rate("2/5"))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="SPC code of rate 1/3"):
         short_code_for("spc", parse_rate("1/3"))
+    # beyond the enumeration cap, and an unknown family
+    with pytest.raises(UsageError, match="SPC code of rate 99/100"):
+        short_code_for("spc", parse_rate("99/100"))
+    with pytest.raises(UsageError, match="LDPC code of rate 1/2"):
+        short_code_for("ldpc", parse_rate("1/2"))
+
+
+def test_design_offers_every_family(capsys):
+    with pytest.raises(SystemExit):
+        main(["design", "--help"])
+    assert f"--family {{{','.join(sorted(FAMILIES))}}}" in capsys.readouterr().out
 
 
 def test_design_command(tmp_path, capsys):
@@ -148,6 +160,13 @@ def test_simulate_rejects_missing_field(tmp_path):
     assert main(["simulate", str(tmp_path / "cfg.json")]) == 1
 
 
+def test_simulate_refuses_unrunnable_config_before_writing(tmp_path):
+    cfgp = _write_config(tmp_path / "cfg.json", i_max=0)
+    out = tmp_path / "res.csv"
+    assert main(["simulate", str(cfgp), "--out", str(out)]) == 1
+    assert not out.exists() and not (tmp_path / "res.config.json").exists()
+
+
 def test_simulate_rejects_bad_schema_version(tmp_path):
     cfgp = _write_config(tmp_path / "cfg.json", schema_version=99)
     assert main(["simulate", str(cfgp)]) == 1
@@ -163,6 +182,14 @@ def test_predict_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "predicted p_II" in out and "lower bound" in out
+
+
+def test_predict_p1_zero_is_the_lower_bound(capsys):
+    # a genie that is never wrong: predict_floor's own [0, 0.5) rule
+    assert main(["predict", "--spec", "RC[2,1]^5000", "--m", "30",
+                 "--p1", "0", "--ebn0", "0.5"]) == 0
+    pred, lb = (line.split()[-1] for line in capsys.readouterr().out.splitlines())
+    assert pred == lb == "3.697e-17"
 
 
 def test_predict_rejects_bad_p1():

@@ -1,3 +1,4 @@
+import re
 from math import comb
 
 import mpmath
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmst.codes import (CodeError, code_extrinsic_llr, compute_iowef,
+from bmst.codes import (FAMILIES, CodeError, code_extrinsic_llr, compute_iowef,
                         encode_cartesian, make_code, make_repetition, make_spc,
                         parse_code_spec, siso_map_decode)
 from bmst.kernels import LLR_MAX
@@ -36,17 +37,17 @@ def test_make_code_rejects_rank_deficient():
         make_code([[1, 1], [1, 1]])
 
 
-def test_make_code_checks_kind_against_generator():
+def test_make_code_is_generic_and_builders_set_kind():
+    # make_code always enumerates, even for a family's generator
     spc3 = [[1, 0, 1], [0, 1, 1]]
-    for generator, kind in [(spc3, "rc"), ([[1, 1, 1]], "spc"), ([[1, 0, 1]], "rc"),
-                            ([[0, 1, 1], [1, 0, 1]], "spc"), (spc3, "bogus")]:
-        with pytest.raises(CodeError):
-            make_code(generator, kind=kind)
-    assert make_code(spc3, kind="spc").kind == "spc"
-    assert make_code([[1, 1, 1]], kind="rc").kind == "rc"
-    # RC[2,1] is SPC[2,1]: both closed forms hold for it
-    assert make_code([[1, 1]], kind="spc").kind == "spc"
+    assert make_code([[1, 1, 1]]).kind == "generic"
     assert make_code(spc3).kind == "generic"
+    with pytest.raises(TypeError):
+        make_code([[1, 1, 1]], kind="rc")
+    # RC[2,1] and SPC[2,1] share the generator [[1, 1]], not the closed form
+    assert make_repetition(2).kind == "rc"
+    assert make_spc(2).kind == "spc"
+    assert np.array_equal(make_repetition(2).generator, make_spc(2).generator)
 
 
 def test_make_code_rejects_large_k():
@@ -171,9 +172,21 @@ def test_parse_code_spec():
     cart = parse_code_spec("rc[2,1]^5000")
     assert (cart.short.N, cart.short.K, cart.B) == (2, 1, 5000)
     assert parse_code_spec("SPC[8,7]^1250").short.kind == "spc"
-    for bad in ("RC[2,2]^10", "SPC[4,2]^10", "RC[2,1]", "XYZ[2,1]^3", ""):
+    for bad in ("RC[2,2]^10", "SPC[4,2]^10", "RC[2,1]", "XYZ[2,1]^3", "",
+                "SPC[1000000000,5]^1"):  # refused before building its generator
         with pytest.raises(CodeError):
             parse_code_spec(bad)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_parse_code_spec_accepts_every_family_in_either_case(family):
+    short = FAMILIES[family](4)
+    for name in (family.lower(), family.upper()):
+        cart = parse_code_spec(f"{name}[4,{short.K}]^3")
+        assert (cart.short.kind, cart.short.K, cart.B) == (family, short.K, 3)
+    spec = f"{family}[4,{short.K + 1}]^3"
+    with pytest.raises(CodeError, match=rf"{re.escape(repr(spec))}.*\[4,{short.K}\]"):
+        parse_code_spec(spec)
 
 
 def test_cartesian_dimensions():

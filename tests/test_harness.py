@@ -33,6 +33,15 @@ def test_config_validation():
         small_cfg(code="RC[2,2]^10")
 
 
+@pytest.mark.parametrize("field, value", [("i_max", 0), ("d", -2), ("d", -5),
+                                          ("min_bit_errors", 0), ("max_bits", 0),
+                                          ("workers", 0), ("m", -1), ("L", 0)])
+def test_config_rejects_values_that_cannot_run(field, value):
+    # each would fail mid-run, write an empty row, or run as something else
+    with pytest.raises(ConfigError, match=f"need {field} >= "):
+        small_cfg(**{field: value})
+
+
 def test_content_hash_tracks_config():
     a, b = small_cfg(), small_cfg()
     assert a.content_hash() == b.content_hash()
