@@ -2,6 +2,9 @@
 bisection, BI-AWGN Shannon limit, the memory design rule, and the
 (noisy-)genie-aided bound chain used to predict error floors far below what
 simulation can reach. Everything below 1e-300 is accumulated in log domain.
+
+scipy.special and hermgauss are imported inside the functions that call
+them: they cost most of `import bmst`, and decoding never calls them.
 """
 
 import csv
@@ -10,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from scipy.special import erfc, gammaln, log_ndtr, logsumexp
 
 from .channel import ebn0_to_sigma
 
@@ -20,11 +21,13 @@ DB_TOL = 1e-4  # bisection tolerance in dB (spec'd at <= 1e-3)
 
 def q_function(x):
     """Gaussian tail probability Q(x)."""
+    from scipy.special import erfc
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
 
 
 def log_q(x):
     """log Q(x), stable for large x."""
+    from scipy.special import log_ndtr
     return log_ndtr(-np.asarray(x, dtype=np.float64))
 
 
@@ -41,6 +44,7 @@ def union_bound(iowef, ebn0_db):
     """Union bound on the BER of the short code (equivalently of its
     Cartesian product) over the BI-AWGNC:
     sum_{g,h>=1} (g/K) A_{g,h} Q(sqrt(2 h (K/N) 10^(gamma/10)))."""
+    from scipy.special import logsumexp
     g, h, a = _iowef_terms(iowef)
     if g.size == 0:
         return 0.0
@@ -91,6 +95,7 @@ def biawgn_capacity(sigma, tol=1e-6):
     """Capacity (bits/use) of BPSK over AWGN with noise std dev sigma,
     by Gauss-Hermite quadrature with node doubling until two successive
     node counts agree within tol."""
+    from numpy.polynomial.hermite import hermgauss
     prev = None
     nodes = 64
     while True:
@@ -180,6 +185,7 @@ def pep(h, m, p_flip, sigma):
     """Pairwise error probability of a weight-h competitor under (m+1)-fold
     diversity with per-bit flips: binomial mixture of Gaussian tails,
     accumulated in log domain."""
+    from scipy.special import gammaln, logsumexp
     if h < 1:
         raise ValueError("h must be >= 1")
     if sigma <= 0:
@@ -199,6 +205,7 @@ def pep(h, m, p_flip, sigma):
 def genie_bound(iowef, m, p_genie, ebn0_db, rate=None):
     """Union bound on the genie-aided decoder's BER with side information
     flipped at p_genie. Reduces to lower_bound at p_genie = 0."""
+    from scipy.special import logsumexp
     if rate is None:
         rate = iowef.K / iowef.N
     sigma = ebn0_to_sigma(ebn0_db, rate)
@@ -218,6 +225,7 @@ def genie_floor(iowef, m, p_genie):
     """Large-Eb/N0 limit of the genie bound: the residual BSC floor induced
     by the side-information flips (binomial majority failure, ties count
     half)."""
+    from scipy.special import gammaln
     pf = flip_probability(p_genie, m)
     g, h, a = _iowef_terms(iowef)
     total = 0.0

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .kernels import blockwise_loo_boxplus, blockwise_loo_sum, clamp
 
@@ -147,6 +146,7 @@ def siso_map_decode(code, priors):
     priors: (N, 2) array, priors[j, v] = P(c_j = v).
     Returns (code_post, msg_post): (N, 2) posteriors over code bits and
     (K, 2) posteriors over message bits."""
+    from scipy.special import expit  # local: costs most of `import bmst`
     logp = np.log(_check_priors(code, priors))
     metric = np.where(code.codebook == 0, logp[:, 0], logp[:, 1]).sum(axis=1)
     llr = _bit_llrs(metric[None], np.hstack([code.codebook, code.codebook_msgs]))[0]

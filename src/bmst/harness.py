@@ -10,15 +10,14 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.special import betaincinv
 
 from . import analysis
 from .channel import channel_llr, ebn0_to_sigma, transmit
@@ -64,6 +63,12 @@ class SimConfig:
             raise ConfigError("gad_flipped needs p_genie in [0, 0.5]")
         if not self.ebn0_grid_db:
             raise ConfigError("ebn0 grid must be non-empty")
+        grid = tuple(float(g) for g in self.ebn0_grid_db)
+        # resume keys rows by Eb/N0 alone, so a repeated value would be
+        # skipped together with its twin
+        if not all(map(math.isfinite, grid)) or len(set(grid)) < len(grid):
+            raise ConfigError(f"need ebn0_grid_db values finite and distinct, got {grid}")
+        object.__setattr__(self, "ebn0_grid_db", grid)
         for name, low in (("m", 0), ("L", 1), ("d", -1), ("i_max", 1),
                           ("min_bit_errors", 1), ("max_bits", 1), ("workers", 1)):
             if getattr(self, name) < low:
@@ -71,7 +76,6 @@ class SimConfig:
         if self.decoder == "tpd" and self.delay < self.m:
             raise ConfigError("TPD needs d >= m")
         parse_code_spec(self.code)  # validate spec string early
-        object.__setattr__(self, "ebn0_grid_db", tuple(float(g) for g in self.ebn0_grid_db))
 
     @property
     def delay(self):
@@ -121,6 +125,7 @@ RESULT_CSV_HEADER = [f.name for f in fields(PointResult)]
 
 def clopper_pearson(errors, bits, conf=0.95):
     """Exact binomial confidence interval."""
+    from scipy.special import betaincinv  # local: costs most of `import bmst`
     if bits == 0:
         return 0.0, 1.0
     a = (1.0 - conf) / 2.0
@@ -200,6 +205,7 @@ def _frames(cfg, ebn0_db, point_idx):
     if cfg.workers <= 1:
         for f in itertools.count():
             yield simulate_frame(cfg, ebn0_db, point_idx, f)
+    from concurrent.futures import ProcessPoolExecutor  # only pools pay for it
     with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
         pending = deque()
         try:

@@ -85,7 +85,8 @@ def binary_entropy_from_llr(llr):
     q = 1.0 - p
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -p * np.log2(p) - q * np.log2(q)
-    return float(np.nan_to_num(h).mean())
+    h[np.isnan(h)] = 0.0  # 0 log 0 = 0; h is never infinite
+    return float(h.mean())
 
 
 def hard_decision(llr):

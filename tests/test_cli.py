@@ -17,15 +17,24 @@ from bmst.harness import SimConfig
 
 def test_import_loads_no_scipy_stats():
     # scipy.stats costs about a second of start-up for every CLI call and
-    # pool worker; bmst needs only scipy.special
+    # pool worker. scipy.special, the process pool and numpy.polynomial are
+    # imported by the calls that use them, so a process that only decodes
+    # loads none of them
     src = str(Path(bmst.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, bmst, bmst.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    code = """
+import sys, bmst, bmst.cli
+from bmst.harness import SimConfig, clopper_pearson, simulate_frame
+cfg = SimConfig(code="RC[2,1]^50", m=2, L=8, decoder="tpd", ebn0_grid_db=(2.0,), seed=4)
+simulate_frame(cfg, 2.0, 0, 0)
+print(sorted(m for m in sys.modules if m.startswith(
+    ("scipy.stats", "scipy.special", "concurrent.futures.process", "numpy.polynomial"))))
+print(repr(clopper_pearson(3, 1000)))
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.split("\n")[:2] == ["[]", "(0.0006190999316495715, 0.008742023238478303)"]
 
 
 def test_parse_rate():
@@ -161,10 +170,13 @@ def test_simulate_rejects_missing_field(tmp_path):
 
 
 def test_simulate_refuses_unrunnable_config_before_writing(tmp_path):
-    cfgp = _write_config(tmp_path / "cfg.json", i_max=0)
-    out = tmp_path / "res.csv"
-    assert main(["simulate", str(cfgp), "--out", str(out)]) == 1
-    assert not out.exists() and not (tmp_path / "res.config.json").exists()
+    # json.load reads -Infinity, which the run would divide by
+    for over in (dict(i_max=0), dict(ebn0_grid_db=[4.0, 4.0]),
+                 dict(ebn0_grid_db=[float("-inf")])):
+        cfgp = _write_config(tmp_path / "cfg.json", **over)
+        out = tmp_path / "res.csv"
+        assert main(["simulate", str(cfgp), "--out", str(out)]) == 1
+        assert not out.exists() and not (tmp_path / "res.config.json").exists()
 
 
 def test_simulate_rejects_bad_schema_version(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,12 +34,18 @@ def test_config_validation():
         small_cfg(code="RC[2,2]^10")
 
 
-@pytest.mark.parametrize("field, value", [("i_max", 0), ("d", -2), ("d", -5),
-                                          ("min_bit_errors", 0), ("max_bits", 0),
-                                          ("workers", 0), ("m", -1), ("L", 0)])
+@pytest.mark.parametrize("field, value", [
+    ("i_max", 0), ("d", -2), ("d", -5), ("min_bit_errors", 0), ("max_bits", 0),
+    ("workers", 0), ("m", -1), ("L", 0),
+    *(pytest.param("ebn0_grid_db", grid, id=f"ebn0_grid_db-{name}")
+      for name, grid in (("nan", (math.nan,)), ("inf", (math.inf,)),
+                         ("-inf", (2.0, -math.inf)), ("repeated", (4.0, 3.0, 4.0)),
+                         ("signed-zero", (0.0, -0.0))))])
 def test_config_rejects_values_that_cannot_run(field, value):
-    # each would fail mid-run, write an empty row, or run as something else
-    with pytest.raises(ConfigError, match=f"need {field} >= "):
+    # each would fail mid-run, write an empty row, run as something else, or
+    # (a repeated Eb/N0) write rows that a resume skips together
+    rule = "values finite and distinct" if field == "ebn0_grid_db" else ">= "
+    with pytest.raises(ConfigError, match=f"need {field} {rule}"):
         small_cfg(**{field: value})
 
 

@@ -182,6 +182,27 @@ def test_binary_entropy_from_llr():
     assert binary_entropy_from_llr(np.full(4, LLR_MAX)) < 1e-10
 
 
+def test_binary_entropy_matches_nan_to_num_bit_for_bit():
+    # zeroing the NaNs of h in place equals np.nan_to_num(h) because h is
+    # never infinite
+    def nan_to_num_entropy(llr):
+        a = np.abs(np.asarray(llr, dtype=np.float64))
+        p = 1.0 / (1.0 + np.exp(a))
+        q = 1.0 - p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = -p * np.log2(p) - q * np.log2(q)
+        return float(np.nan_to_num(h).mean())
+
+    special = [0.0, -0.0, LLR_MAX, -LLR_MAX, np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(0)
+    cases = [np.array([v]) for v in special] + [np.array(special)]
+    cases += [rng.normal(0.0, s, size=n) for s in (0.5, 5.0, 50.0, 200.0)
+              for n in (1, 7, 1000)]
+    cases.append(np.concatenate([rng.normal(0.0, 20.0, 500), special]))
+    for llr in cases:
+        assert binary_entropy_from_llr(llr).hex() == nan_to_num_entropy(llr).hex()
+
+
 def _noiseless_llrs(sys_, msgs):
     c = bmst.encode_frame(sys_, msgs)
     return LLR_MAX * (1.0 - 2.0 * c)
