@@ -61,13 +61,13 @@ class SimConfig:
             raise ConfigError(f"decoder must be one of {DECODERS}")
         if self.decoder == "gad_flipped" and not 0.0 <= self.p_genie <= 0.5:
             raise ConfigError("gad_flipped needs p_genie in [0, 0.5]")
-        if not self.ebn0_grid_db:
-            raise ConfigError("ebn0 grid must be non-empty")
-        grid = tuple(float(g) for g in self.ebn0_grid_db)
-        # resume keys rows by Eb/N0 alone, so a repeated value would be
-        # skipped together with its twin
-        if not all(map(math.isfinite, grid)) or len(set(grid)) < len(grid):
-            raise ConfigError(f"need ebn0_grid_db values finite and distinct, got {grid}")
+        # a string would run one point per character; resume keys rows by
+        # Eb/N0 alone, so a repeated value would be skipped with its twin
+        grid = self.ebn0_grid_db
+        grid = () if isinstance(grid, str) else tuple(float(g) for g in grid)
+        if not grid or not all(map(math.isfinite, grid)) or len(set(grid)) < len(grid):
+            raise ConfigError("need ebn0_grid_db a non-empty list of finite, distinct "
+                              f"values, got {self.ebn0_grid_db!r}")
         object.__setattr__(self, "ebn0_grid_db", grid)
         for name, low in (("m", 0), ("L", 1), ("d", -1), ("i_max", 1),
                           ("min_bit_errors", 1), ("max_bits", 1), ("workers", 1)):

@@ -80,7 +80,7 @@ STOP_THRESHOLD = 1e-5
 
 def binary_entropy_from_llr(llr):
     """Mean binary entropy (bits) of the posteriors implied by LLRs."""
-    a = np.abs(np.asarray(llr, dtype=np.float64))
+    a = np.abs(np.atleast_1d(np.asarray(llr, dtype=np.float64)))
     p = 1.0 / (1.0 + np.exp(a))  # smaller of the two probabilities
     q = 1.0 - p
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -40,11 +40,11 @@ def test_config_validation():
     *(pytest.param("ebn0_grid_db", grid, id=f"ebn0_grid_db-{name}")
       for name, grid in (("nan", (math.nan,)), ("inf", (math.inf,)),
                          ("-inf", (2.0, -math.inf)), ("repeated", (4.0, 3.0, 4.0)),
-                         ("signed-zero", (0.0, -0.0))))])
+                         ("signed-zero", (0.0, -0.0)), ("string", "12")))])
 def test_config_rejects_values_that_cannot_run(field, value):
     # each would fail mid-run, write an empty row, run as something else, or
     # (a repeated Eb/N0) write rows that a resume skips together
-    rule = "values finite and distinct" if field == "ebn0_grid_db" else ">= "
+    rule = "a non-empty list of finite" if field == "ebn0_grid_db" else ">= "
     with pytest.raises(ConfigError, match=f"need {field} {rule}"):
         small_cfg(**{field: value})
 

@@ -196,9 +196,11 @@ def test_binary_entropy_matches_nan_to_num_bit_for_bit():
     special = [0.0, -0.0, LLR_MAX, -LLR_MAX, np.inf, -np.inf, np.nan]
     rng = np.random.default_rng(0)
     cases = [np.array([v]) for v in special] + [np.array(special)]
+    cases += [np.float64(v) for v in special] + [0.0, np.array(LLR_MAX)]
     cases += [rng.normal(0.0, s, size=n) for s in (0.5, 5.0, 50.0, 200.0)
               for n in (1, 7, 1000)]
     cases.append(np.concatenate([rng.normal(0.0, 20.0, 500), special]))
+    cases.append(rng.normal(0.0, 5.0, size=(3, 4)))
     for llr in cases:
         assert binary_entropy_from_llr(llr).hex() == nan_to_num_entropy(llr).hex()
 
