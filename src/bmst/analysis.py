@@ -7,7 +7,6 @@ scipy.special and hermgauss are imported inside the functions that call
 them: they cost most of `import bmst`, and decoding never calls them.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,27 +30,24 @@ def log_q(x):
     return log_ndtr(-np.asarray(x, dtype=np.float64))
 
 
-def _iowef_terms(iowef):
-    """(g, h, A) arrays over nonzero-weight coefficients (g>=1, h>=1)."""
-    items = [(g, h, a) for (g, h), a in iowef.coefficients.items() if g >= 1 and h >= 1]
-    if not items:
-        return (np.empty(0),) * 3
-    g, h, a = map(np.asarray, zip(*items))
-    return g.astype(float), h.astype(float), a.astype(float)
+def _iowef_sum(iowef, log_p):
+    """sum_{g,h>=1} (g/K) A_{g,h} P(h) over the short code's IOWEF, summed in
+    log domain over the last axis: the one place a bound weighs its
+    competitors. log_p maps the array of competitor weights h to log P(h)."""
+    from scipy.special import logsumexp
+    terms = [(g, h, a) for (g, h), a in iowef.coefficients.items() if g >= 1 and h >= 1]
+    if not terms:
+        return 0.0
+    g, h, a = np.array(terms, dtype=float).T
+    return np.exp(logsumexp(np.log(g / iowef.K) + np.log(a) + log_p(h), axis=-1))
 
 
 def union_bound(iowef, ebn0_db):
     """Union bound on the BER of the short code (equivalently of its
     Cartesian product) over the BI-AWGNC:
     sum_{g,h>=1} (g/K) A_{g,h} Q(sqrt(2 h (K/N) 10^(gamma/10)))."""
-    from scipy.special import logsumexp
-    g, h, a = _iowef_terms(iowef)
-    if g.size == 0:
-        return 0.0
-    snr = 10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0)
-    args = np.sqrt(2.0 * h * (iowef.K / iowef.N) * np.atleast_1d(snr)[..., None])
-    logterms = np.log(g / iowef.K) + np.log(a) + log_q(args)
-    out = np.exp(logsumexp(logterms, axis=-1))
+    snr = np.atleast_1d(10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0))[..., None]
+    out = _iowef_sum(iowef, lambda h: log_q(np.sqrt(2.0 * h * (iowef.K / iowef.N) * snr)))
     return float(np.squeeze(out)) if np.ndim(ebn0_db) == 0 else out
 
 
@@ -181,112 +177,48 @@ def flip_probability(p_genie, m):
     return -np.expm1(m * np.log1p(-2.0 * p_genie)) / 2.0
 
 
-def pep(h, m, p_flip, sigma):
-    """Pairwise error probability of a weight-h competitor under (m+1)-fold
-    diversity with per-bit flips: binomial mixture of Gaussian tails,
-    accumulated in log domain."""
+def _log_pep(h, m, p_flip, sigma):
     from scipy.special import gammaln, logsumexp
     if h < 1:
         raise ValueError("h must be >= 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not sigma >= 0:
+        raise ValueError("sigma must be >= 0")
     M = (m + 1) * h
     r = np.arange(M + 1)
-    logq = log_q((M - 2.0 * r) / (np.sqrt(M) * sigma))
+    x = M - 2.0 * r  # the noiseless sum of the looks when r of them flipped
+    # at sigma = 0, Q(x / 0) is 0, 1/2 at a tie, or 1
+    logq = log_q(x / (np.sqrt(M) * sigma) if sigma > 0
+                 else np.where(x == 0, 0.0, np.copysign(np.inf, x)))
     if p_flip == 0.0:
-        return float(np.exp(logq[0]))
+        return logq[0]
     if p_flip == 1.0:
-        return float(np.exp(logq[-1]))
+        return logq[-1]
     logbin = (gammaln(M + 1) - gammaln(r + 1) - gammaln(M - r + 1)
               + r * np.log(p_flip) + (M - r) * np.log1p(-p_flip))
-    return float(np.exp(logsumexp(logbin + logq)))
+    return logsumexp(logbin + logq)
+
+
+def pep(h, m, p_flip, sigma):
+    """Pairwise error probability of a weight-h competitor under (m+1)-fold
+    diversity with per-bit flips: binomial mixture of Gaussian tails,
+    accumulated in log domain. At sigma = 0 it is the noiseless limit, a
+    majority vote over the M = (m+1)h looks with ties counting half."""
+    return float(np.exp(_log_pep(h, m, p_flip, sigma)))
 
 
 def genie_bound(iowef, m, p_genie, ebn0_db, rate=None):
     """Union bound on the genie-aided decoder's BER with side information
     flipped at p_genie. Reduces to lower_bound at p_genie = 0."""
-    from scipy.special import logsumexp
     if rate is None:
         rate = iowef.K / iowef.N
     sigma = ebn0_to_sigma(ebn0_db, rate)
     pf = flip_probability(p_genie, m)
-    g, h, a = _iowef_terms(iowef)
-    logterms = []
-    for gi, hi, ai in zip(g, h, a):
-        p = pep(int(hi), m, pf, sigma)
-        if p > 0.0:
-            logterms.append(math.log(gi / iowef.K) + math.log(ai) + math.log(p))
-    if not logterms:
-        return 0.0
-    return float(np.exp(logsumexp(np.asarray(logterms))))
+    return float(_iowef_sum(iowef, lambda h: np.array(
+        [_log_pep(int(hi), m, pf, sigma) for hi in h])))
 
 
 def genie_floor(iowef, m, p_genie):
     """Large-Eb/N0 limit of the genie bound: the residual BSC floor induced
-    by the side-information flips (binomial majority failure, ties count
-    half)."""
-    from scipy.special import gammaln
-    pf = flip_probability(p_genie, m)
-    g, h, a = _iowef_terms(iowef)
-    total = 0.0
-    for gi, hi, ai in zip(g, h, a):
-        M = int((m + 1) * hi)
-        r = np.arange(M + 1)
-        logbin = (gammaln(M + 1) - gammaln(r + 1) - gammaln(M - r + 1)
-                  + r * np.log(pf) + (M - r) * np.log1p(-pf)) if pf > 0 else None
-        if logbin is None:
-            continue
-        pr = np.exp(logbin)
-        mass = pr[r > M / 2].sum() + 0.5 * pr[r == M / 2].sum()
-        total += (gi / iowef.K) * ai * mass
-    return total
-
-
-# ---------------------------------------------------------------------------
-# curve export
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundCurve:
-    kind: str            # "basic_union" | "lower_bound" | "genie_bound"
-    code: str
-    m: int
-    p_genie: float | None
-    points: list         # [(ebn0_db, ber), ...]
-
-
-def make_bound_curve(iowef, kind, grid_db, code_name, m=0, p_genie=None):
-    pts = []
-    for g in grid_db:
-        if kind == "basic_union":
-            b = union_bound(iowef, g)
-        elif kind == "lower_bound":
-            b = lower_bound(iowef, m, g)
-        elif kind == "genie_bound":
-            if p_genie is None:
-                raise ValueError("genie_bound curves need p_genie")
-            b = genie_bound(iowef, m, p_genie, g)
-        else:
-            raise ValueError(f"unknown bound kind {kind!r}")
-        pts.append((float(g), float(b)))
-    return BoundCurve(kind=kind, code=code_name, m=m, p_genie=p_genie, points=pts)
-
-
-BOUND_CSV_HEADER = ["ebn0_db", "ber", "kind", "p_genie", "m", "code"]
-
-
-def bound_csv_rows(curves):
-    for c in curves:
-        for g, b in c.points:
-            yield [f"{g:.6g}", f"{b:.6e}", c.kind,
-                   "" if c.p_genie is None else f"{c.p_genie:.6g}", c.m, c.code]
-
-
-def write_bound_csv(fh_or_path, curves):
-    if hasattr(fh_or_path, "write"):
-        w = csv.writer(fh_or_path)
-        w.writerow(BOUND_CSV_HEADER)
-        w.writerows(bound_csv_rows(curves))
-        return
-    with open(fh_or_path, "w", newline="") as fh:
-        write_bound_csv(fh, curves)
+    by the side-information flips. At Eb/N0 = inf, sigma = 0 and each pep
+    is a majority vote over its looks (ties count half)."""
+    return genie_bound(iowef, m, p_genie, math.inf)

@@ -4,9 +4,11 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
 """
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import analysis, harness
@@ -97,23 +99,28 @@ def cmd_design(args):
 
 
 def cmd_bound(args):
-    if args.kind == "genie" and not args.p_genie:
-        raise UsageError("kind=genie requires at least one --p-genie")
-    if args.kind != "genie" and args.p_genie:
-        raise UsageError(f"kind={args.kind} takes no --p-genie")
+    # --kind -> the CSV kind and its bound of (iowef, m, p_genie, ebn0_db)
+    kind, bound = {
+        "basic": ("basic_union", lambda iowef, m, p, g: analysis.union_bound(iowef, g)),
+        "lower": ("lower_bound", lambda iowef, m, p, g: analysis.lower_bound(iowef, m, g)),
+        "genie": ("genie_bound", analysis.genie_bound),
+    }[args.kind]
+    if (args.kind == "genie") != bool(args.p_genie):
+        raise UsageError("kind=genie requires at least one --p-genie" if args.kind == "genie"
+                         else f"kind={args.kind} takes no --p-genie")
     if args.kind == "basic" and args.m is not None:
         raise UsageError("kind=basic takes no --m: the basic code has no memory")
     cart = parse_code_spec(args.spec)
     iowef = compute_iowef(cart.short)
     grid = parse_grid(args.grid)
-    # --kind -> the curve kind and its genie flip probabilities
-    kind, p_genies = {"basic": ("basic_union", [None]),
-                      "lower": ("lower_bound", [None]),
-                      "genie": ("genie_bound", args.p_genie)}[args.kind]
     m = 0 if args.m is None else args.m
-    curves = [analysis.make_bound_curve(iowef, kind, grid, args.spec.upper(), m=m, p_genie=p)
-              for p in p_genies]
-    analysis.write_bound_csv(args.out if args.out else sys.stdout, curves)
+    rows = [[f"{g:.6g}", f"{bound(iowef, m, p, g):.6e}", kind,
+             "" if p is None else f"{p:.6g}", m, args.spec.upper()]
+            for p in args.p_genie or [None] for g in grid]
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
+        w = csv.writer(fh)
+        w.writerow(["ebn0_db", "ber", "kind", "p_genie", "m", "code"])
+        w.writerows(rows)
     return 0
 
 
@@ -177,7 +184,9 @@ def build_parser():
     b.add_argument("--spec", required=True, help='code spec, e.g. "RC[2,1]^5000"')
     b.add_argument("--kind", required=True, choices=["basic", "lower", "genie"])
     b.add_argument("--m", type=int, help="encoding memory (lower, genie; default 0)")
-    b.add_argument("--grid", required=True, help='Eb/N0 grid "start:step:end" in dB')
+    b.add_argument("--grid", required=True,
+                   help='Eb/N0 grid "start:step:end" in dB; a negative start needs '
+                        'the = form, e.g. --grid=-1:0.5:0')
     b.add_argument("--p-genie", type=float, action="append", default=[],
                    help="genie flip probability (repeatable)")
     b.add_argument("--out", help="output CSV path (default stdout)")

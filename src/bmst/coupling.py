@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import CartesianCode, CodeError, encode_cartesian
+from .codes import CartesianCode, CodeError, encode_cartesian, parse_code_spec
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,6 @@ class BmstSystem:
 
 
 def make_system(code_spec_or_code, m, L, seed):
-    from .codes import parse_code_spec
-
     basic = code_spec_or_code
     if isinstance(basic, str):
         basic = parse_code_spec(basic)

@@ -11,11 +11,13 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import time
 from collections import deque
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,10 +71,23 @@ class SimConfig:
             raise ConfigError("need ebn0_grid_db a non-empty list of finite, distinct "
                               f"values, got {self.ebn0_grid_db!r}")
         object.__setattr__(self, "ebn0_grid_db", grid)
-        for name, low in (("m", 0), ("L", 1), ("d", -1), ("i_max", 1),
-                          ("min_bit_errors", 1), ("max_bits", 1), ("workers", 1)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"need {name} >= {low}, got {getattr(self, name)}")
+        # an integer-valued numpy scalar becomes an int, so that the content
+        # hash can serialize it; a bool or float would run as something else
+        for name, low in (("m", 0), ("L", 1), ("d", -1), ("i_max", 1), ("min_bit_errors", 1),
+                          ("max_bits", 1), ("seed", 0), ("workers", 1)):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                value = operator.index(value)
+            except TypeError:
+                raise ConfigError(f"need {name} an integer, got {value!r}") from None
+            if value < low:
+                raise ConfigError(f"need {name} >= {low}, got {value}")
+            object.__setattr__(self, name, value)
+        # a NaN threshold would never stop the iterations early
+        if not math.isfinite(self.stop_threshold):
+            raise ConfigError(f"need stop_threshold finite, got {self.stop_threshold!r}")
         if self.decoder == "tpd" and self.delay < self.m:
             raise ConfigError("TPD needs d >= m")
         parse_code_spec(self.code)  # validate spec string early
@@ -134,14 +149,8 @@ def clopper_pearson(errors, bits, conf=0.95):
     return lo, hi
 
 
-_SYSTEM_CACHE = {}
-
-
-def _get_system(cfg):
-    key = (cfg.code, cfg.m, cfg.L, cfg.seed)
-    if key not in _SYSTEM_CACHE:
-        _SYSTEM_CACHE[key] = make_system(cfg.code, cfg.m, cfg.L, cfg.seed)
-    return _SYSTEM_CACHE[key]
+# the frames of a config share its system: (code, m, L, seed) -> BmstSystem
+_system = lru_cache(maxsize=None)(make_system)
 
 
 @dataclass
@@ -162,7 +171,7 @@ class FrameCounts:
 def simulate_frame(cfg, ebn0_db, point_idx, frame_idx):
     """Encode, transmit and decode one frame of a SimConfig; returns
     bit/error counts. Module-level so process pools can pickle it."""
-    sys = _get_system(cfg)
+    sys = _system(cfg.code, cfg.m, cfg.L, cfg.seed)
     sigma = ebn0_to_sigma(ebn0_db, sys.basic.rate)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(point_idx, frame_idx)))
     msgs = rng.integers(0, 2, size=(sys.L, sys.k), dtype=np.uint8)

@@ -1,15 +1,13 @@
-import io
 from math import comb
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from bmst.analysis import (biawgn_capacity, bound_csv_rows, design_memory,
-                           find_gamma_target, flip_probability, genie_bound,
-                           genie_floor, log_q, lower_bound, make_bound_curve,
-                           memory_from_gap, pep, q_function,
-                           shannon_limit_biawgn, union_bound, write_bound_csv)
+from bmst.analysis import (biawgn_capacity, design_memory, find_gamma_target,
+                           flip_probability, genie_bound, genie_floor, log_q,
+                           lower_bound, memory_from_gap, pep, q_function,
+                           shannon_limit_biawgn, union_bound)
 from bmst.channel import ebn0_to_sigma
 from bmst.codes import compute_iowef, make_repetition, make_spc
 
@@ -151,6 +149,22 @@ def test_pep_against_monte_carlo():
     assert abs(err - expect) < 4 * se
 
 
+def majority_oracle(M, p):
+    """Noiseless majority failure over M looks each flipped with p, ties
+    counting half, summed term by term."""
+    return (sum(comb(M, r) * p**r * (1 - p)**(M - r) for r in range(M + 1) if 2 * r > M)
+            + (0.5 * comb(M, M // 2) * (p * (1 - p))**(M // 2) if M % 2 == 0 else 0.0))
+
+
+@pytest.mark.parametrize("h, m", [(1, 2), (3, 0), (1, 1), (2, 3), (4, 30)])
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.5])
+def test_pep_at_sigma_zero_is_a_majority_vote(h, m, p):
+    M = (m + 1) * h
+    assert pep(h, m, p, 0.0) == pytest.approx(majority_oracle(M, p), rel=1e-12, abs=1e-300)
+    # Q(x / sigma) at |x| >= 1 and sigma = 1e-3 is 0 or 1 to double precision
+    assert pep(h, m, p, 1e-3) == pep(h, m, p, 0.0)
+
+
 def test_genie_bound_reduces_to_lower_bound():
     iow = iowef_rc2()
     for m in (1, 8, 30):
@@ -180,20 +194,6 @@ def test_lower_bound_is_shifted_union_bound():
         lower_bound(iow, -1, 2.0)
 
 
-def test_bound_curve_csv_roundtrip():
-    iow = iowef_rc2()
-    curves = [make_bound_curve(iow, "lower_bound", [1.0, 2.0], "RC[2,1]^10", m=2),
-              make_bound_curve(iow, "genie_bound", [1.0], "RC[2,1]^10", m=2, p_genie=1e-4)]
-    rows = list(bound_csv_rows(curves))
-    assert len(rows) == 3
-    assert rows[0][2] == "lower_bound" and rows[2][3] == "0.0001"
-    buf = io.StringIO()
-    write_bound_csv(buf, curves)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "ebn0_db,ber,kind,p_genie,m,code"
-    assert len(lines) == 4
-
-
 def test_validation_errors():
     iow = iowef_rc2()
     with pytest.raises(ValueError):
@@ -202,5 +202,8 @@ def test_validation_errors():
         flip_probability(0.6, 3)
     with pytest.raises(ValueError):
         pep(0, 2, 0.1, 1.0)
+    for sigma in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            pep(1, 2, 0.1, sigma)
     with pytest.raises(ValueError):
         shannon_limit_biawgn(1.0)

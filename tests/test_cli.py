@@ -126,6 +126,30 @@ def test_bound_stdout(capsys):
     assert len(lines) == 3
 
 
+def test_bound_genie_csv_has_one_block_per_p_genie(tmp_path):
+    out = tmp_path / "bounds.csv"
+    assert main(["bound", "--spec", "RC[2,1]^10", "--kind", "genie", "--m", "2",
+                 "--grid", "1:1:2", "--p-genie", "1e-4", "--p-genie", "1e-2",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "ebn0_db,ber,kind,p_genie,m,code"
+    rows = list(csv.reader(lines[1:]))
+    assert [(r[0], r[2], r[3], r[4], r[5]) for r in rows] == [
+        ("1", "genie_bound", "0.0001", "2", "RC[2,1]^10"),
+        ("2", "genie_bound", "0.0001", "2", "RC[2,1]^10"),
+        ("1", "genie_bound", "0.01", "2", "RC[2,1]^10"),
+        ("2", "genie_bound", "0.01", "2", "RC[2,1]^10")]
+
+
+def test_bound_grid_with_a_negative_start(tmp_path):
+    # "--grid -1:0.5:0" reads as an unknown option; the = form takes it
+    out = tmp_path / "bounds.csv"
+    assert main(["bound", "--spec", "RC[2,1]^500", "--kind", "lower", "--m", "30",
+                 "--grid=-1:0.5:0", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [r["ebn0_db"] for r in rows] == ["-1", "-0.5", "0"]
+
+
 def _write_config(path, **over):
     doc = dict(schema_version=1, code="RC[2,1]^20", m=1, L=4,
                decoder="gad_perfect", ebn0_grid_db=[4.0],
@@ -170,9 +194,11 @@ def test_simulate_rejects_missing_field(tmp_path):
 
 
 def test_simulate_refuses_unrunnable_config_before_writing(tmp_path):
-    # json.load reads -Infinity, which the run would divide by
+    # json.load reads -Infinity, which the run would divide by, and NaN
     for over in (dict(i_max=0), dict(ebn0_grid_db=[4.0, 4.0]),
-                 dict(ebn0_grid_db=[float("-inf")])):
+                 dict(ebn0_grid_db=[float("-inf")]), dict(seed=-1), dict(seed=1.5),
+                 dict(m=2.5), dict(m=True), dict(L=3.5), dict(d=4.5), dict(i_max=2.5),
+                 dict(stop_threshold=float("nan"))):
         cfgp = _write_config(tmp_path / "cfg.json", **over)
         out = tmp_path / "res.csv"
         assert main(["simulate", str(cfgp), "--out", str(out)]) == 1

@@ -40,11 +40,16 @@ def test_config_validation():
     *(pytest.param("ebn0_grid_db", grid, id=f"ebn0_grid_db-{name}")
       for name, grid in (("nan", (math.nan,)), ("inf", (math.inf,)),
                          ("-inf", (2.0, -math.inf)), ("repeated", (4.0, 3.0, 4.0)),
-                         ("signed-zero", (0.0, -0.0)), ("string", "12")))])
+                         ("signed-zero", (0.0, -0.0)), ("string", "12"))),
+    ("seed", -1), ("m", 2.5), ("L", 3.5), ("seed", 1.5), ("d", 4.5), ("i_max", 2.5),
+    ("m", True), ("workers", "2"), ("stop_threshold", math.nan),
+    ("stop_threshold", -math.inf)])
 def test_config_rejects_values_that_cannot_run(field, value):
     # each would fail mid-run, write an empty row, run as something else, or
     # (a repeated Eb/N0) write rows that a resume skips together
-    rule = "a non-empty list of finite" if field == "ebn0_grid_db" else ">= "
+    rule = ("a non-empty list of finite" if field == "ebn0_grid_db"
+            else "finite" if field == "stop_threshold"
+            else "an integer" if isinstance(value, (bool, float, str)) else ">= ")
     with pytest.raises(ConfigError, match=f"need {field} {rule}"):
         small_cfg(**{field: value})
 
@@ -53,6 +58,12 @@ def test_content_hash_tracks_config():
     a, b = small_cfg(), small_cfg()
     assert a.content_hash() == b.content_hash()
     assert a.content_hash() != small_cfg(seed=2).content_hash()
+
+
+def test_numpy_integer_fields_hash_as_ints():
+    cfg = small_cfg(m=np.int64(1), L=np.int32(4), seed=np.uint8(1))
+    assert (cfg.m, cfg.L, cfg.seed) == (1, 4, 1) and type(cfg.m) is int
+    assert cfg.content_hash() == small_cfg().content_hash()
 
 
 def test_default_delay_is_three_m():
