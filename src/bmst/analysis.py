@@ -183,6 +183,8 @@ def _log_pep(h, m, p_flip, sigma):
         raise ValueError("h must be >= 1")
     if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
+    if not 0.0 <= p_flip <= 1.0:
+        raise ValueError(f"p_flip must be in [0, 1], got {p_flip!r}")
     M = (m + 1) * h
     r = np.arange(M + 1)
     x = M - 2.0 * r  # the noiseless sum of the looks when r of them flipped

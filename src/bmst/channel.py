@@ -28,7 +28,12 @@ def transmit(x, sigma, rng):
 
 
 def channel_llr(y, sigma):
-    """Per-bit LLR log P(c=0|y)/P(c=1|y) = 2y/sigma^2, clamped."""
+    """Per-bit LLR log P(c=0|y)/P(c=1|y) = 2y/sigma^2, clamped, then rounded
+    once to float32. This sets the precision of the window decoder, whose
+    messages keep the dtype of the LLRs it is given: float32 halves their
+    memory and the cost of phi, and decides as the float64 decoder does on
+    the seeded frames of tests/test_swd.py."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return np.clip(2.0 * np.asarray(y, dtype=np.float64) / sigma ** 2, -LLR_MAX, LLR_MAX)
+    llr = np.clip(2.0 * np.asarray(y, dtype=np.float64) / sigma ** 2, -LLR_MAX, LLR_MAX)
+    return llr.astype(np.float32)

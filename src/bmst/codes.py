@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import blockwise_loo_boxplus, blockwise_loo_sum, clamp
+from .kernels import blockwise_loo_boxplus, blockwise_loo_sum, clamp, float_array
 
 PROB_CLAMP = 1e-12  # keeps log priors finite
 MAX_K = 24
@@ -157,8 +157,10 @@ def siso_map_decode(code, priors):
 def code_extrinsic_llr(code, llr):
     """Extrinsic SISO output for B stacked blocks of a short code, LLR in,
     LLR out. llr has length B*N. Uses closed forms for RC and SPC, the
-    exact enumeration of the codebook, for all blocks at once, otherwise."""
-    llr = np.asarray(llr, dtype=np.float64)
+    exact enumeration of the codebook, for all blocks at once, otherwise.
+    The output has the dtype of llr (kernels.float_array); the enumeration
+    runs in float64 whatever it is."""
+    llr = float_array(llr)
     if code.kind == "rc":
         return blockwise_loo_sum(llr, code.N)
     if code.kind == "spc":
@@ -168,7 +170,8 @@ def code_extrinsic_llr(code, llr):
     metric = 0.5 * blocks @ (1.0 - 2.0 * code.codebook).T
     # the APP less the block's own input; clamped only after subtracting,
     # so that a saturated input keeps its extrinsic
-    return clamp(_bit_llrs(metric, code.codebook) - blocks).reshape(llr.shape)
+    ext = clamp(_bit_llrs(metric, code.codebook) - blocks)
+    return ext.astype(llr.dtype, copy=False).reshape(llr.shape)
 
 
 # ---------------------------------------------------------------------------

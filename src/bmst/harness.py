@@ -33,9 +33,17 @@ from .tpd import decode_frame_gad, decode_frame_tpd, flipped_side_info
 # of run_sweep for some config and seed bumps it, so that a resume never
 # mixes rows of two versions; tests/test_harness.py pins it to a digest
 # of seeded sweeps.
-RESULTS_VERSION = 2
+RESULTS_VERSION = 3
 
-DECODERS = ("swd", "tpd", "gad_perfect", "gad_flipped")
+# the decoder parameters of SimConfig that each decoder reads; the results
+# identity leaves out those that cfg.decoder does not
+DECODER_PARAMS = {
+    "swd": ("d", "i_max", "stop_threshold"),
+    "tpd": ("d", "i_max", "stop_threshold"),
+    "gad_perfect": (),
+    "gad_flipped": ("p_genie",),
+}
+DECODERS = tuple(DECODER_PARAMS)
 
 class ConfigError(ValueError):
     pass
@@ -61,6 +69,17 @@ class SimConfig:
     def __post_init__(self):
         if self.decoder not in DECODERS:
             raise ConfigError(f"decoder must be one of {DECODERS}")
+        # a float field hashes as its float, so that 0 and 0.0 name the same
+        # results; a bool or str would run as something else
+        for name in ("p_genie", "max_seconds", "stop_threshold"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, (bool, str)):
+                    raise TypeError
+                value = float(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"need {name} a real number, got {value!r}") from None
+            object.__setattr__(self, name, value)
         if self.decoder == "gad_flipped" and not 0.0 <= self.p_genie <= 0.5:
             raise ConfigError("gad_flipped needs p_genie in [0, 0.5]")
         # a string would run one point per character; resume keys rows by
@@ -103,9 +122,11 @@ class SimConfig:
 
     def content_hash(self):
         """Identity of the results: every field that affects them, plus the
-        results version of the code. The worker count changes no result."""
-        d = self.to_dict()
-        del d["workers"]
+        results version of the code. The worker count changes no result,
+        and nor does a decoder parameter that cfg.decoder does not read."""
+        unread = {p for params in DECODER_PARAMS.values() for p in params}
+        unread = unread.difference(DECODER_PARAMS[self.decoder]) | {"workers"}
+        d = {k: v for k, v in self.to_dict().items() if k not in unread}
         d["results_version"] = RESULTS_VERSION
         blob = json.dumps(d, sort_keys=False).encode()
         return hashlib.sha256(blob).hexdigest()

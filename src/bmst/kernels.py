@@ -13,6 +13,12 @@ elementwise oracle; the kernels agree with it to 1e-12 in LLR.
 leave_one_out_boxplus takes its stack already in the phi domain
 (llr_to_phi), so a caller that keeps its messages there converts each
 message once, not at every read.
+
+The kernels on the message path (llr_to_phi, phi, leave_one_out_boxplus and
+the blockwise extrinsics) compute in the dtype they are given, float32 or
+float64; any other input is taken as float64. The window decoder's messages
+are float32 (channel.channel_llr sets that); the exact-oracle tests run the
+same kernels in float64.
 """
 
 import numpy as np
@@ -21,9 +27,6 @@ LLR_MAX = 40.0
 
 # Kept for the benchmark's run record; there is no compiled kernel path.
 NUMBA_ENABLED = False
-
-# the sign bit of a float64 seen as a uint64
-_SIGN = np.uint64(1 << 63)
 
 # correction terms log1p(exp(-x)) are dropped for x above this: at 30 they
 # are ~9e-14, below double-precision relevance on the LLR scale
@@ -45,12 +48,19 @@ def boxplus_scalar(a, b):
     return float(boxplus_numpy(np.float64(a), np.float64(b)))
 
 
+def float_array(x):
+    """x as an array of its own dtype if that is float32 or float64, else
+    as float64; the message-path kernels compute in that dtype."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
+
+
 def phi(x):
     """phi(x) = log((e^x + 1)/(e^x - 1)) for x >= 0, in the branch-free form
     log1p(2/expm1(x)), which keeps full relative precision at both ends.
     phi(0) = inf and phi(inf) = 0."""
     with np.errstate(divide="ignore", over="ignore"):
-        return _phi_inplace(np.array(x, dtype=np.float64))
+        return _phi_inplace(np.array(float_array(x)))
 
 
 def _phi_inplace(x):
@@ -67,18 +77,26 @@ def clamp(x):
     return x
 
 
+def _bits(x):
+    """The float array x seen as unsigned words of its width, and the word
+    that holds only the sign bit."""
+    words = x.view(f"u{x.itemsize}")
+    return words, words.dtype.type(1 << (8 * x.itemsize - 1))
+
+
 def _or_sign(x, sign):
-    """Set the sign bits `sign` (uint64 words, sign bit only) on x >= 0 in
-    place; returns x. Cheaper than np.copysign over several rows."""
-    np.bitwise_or(x.view(np.uint64), sign, out=x.view(np.uint64))
+    """Set the sign bits `sign` (words of x's width, sign bit only) on
+    x >= 0 in place; returns x. Cheaper than np.copysign over several rows."""
+    np.bitwise_or(x.view(sign.dtype), sign, out=x.view(sign.dtype))
     return x
 
 
 def llr_to_phi(llr):
     """The phi domain the leave-one-out kernel takes: phi(|llr|) carrying
     the sign bit of llr, in a new array. A zero LLR maps to +-inf."""
-    llr = np.asarray(llr, dtype=np.float64)
-    sign = llr.view(np.uint64) & _SIGN
+    llr = float_array(llr)
+    words, sign_bit = _bits(llr)
+    sign = words & sign_bit
     with np.errstate(divide="ignore", over="ignore"):
         out = _phi_inplace(np.abs(llr))
     return _or_sign(out, sign)
@@ -94,12 +112,13 @@ def leave_one_out_boxplus(stack, lo=0, hi=None):
     instead would cancel catastrophically whenever that term dominates.
     The prefix chain stops at row hi-1 and the suffix chain at row lo;
     every term is added in the same order whatever rows are asked for."""
-    stack = np.asarray(stack, dtype=np.float64)
+    stack = float_array(stack)
     rows = len(stack)
     hi = rows if hi is None else hi
     mag = np.abs(stack)
-    pre = np.empty((hi, stack.shape[1]))
-    suf = np.empty((rows - lo, stack.shape[1]))  # suf[j] belongs to row lo+j
+    pre = np.empty((hi, stack.shape[1]), dtype=stack.dtype)
+    # suf[j] belongs to row lo+j
+    suf = np.empty((rows - lo, stack.shape[1]), dtype=stack.dtype)
     pre[0] = 0.0
     suf[-1] = 0.0
     for i in range(1, hi):
@@ -110,9 +129,9 @@ def leave_one_out_boxplus(stack, lo=0, hi=None):
         out = _phi_inplace(np.add(pre[lo:], suf[:hi - lo], out=pre[lo:]))
     np.minimum(out, LLR_MAX, out=out)
     # row i is negative where its sign differs from the parity of all signs
-    bits = stack.view(np.uint64)
-    sign = np.bitwise_xor(bits[lo:hi], np.bitwise_xor.reduce(bits, axis=0))
-    return _or_sign(out, np.bitwise_and(sign, _SIGN, out=sign))
+    words, sign_bit = _bits(stack)
+    sign = np.bitwise_xor(words[lo:hi], np.bitwise_xor.reduce(words, axis=0))
+    return _or_sign(out, np.bitwise_and(sign, sign_bit, out=sign))
 
 
 def blockwise_loo_sum(llr, block):
@@ -121,7 +140,7 @@ def blockwise_loo_sum(llr, block):
     This is the extrinsic SISO update of a repetition code: every code bit
     equals the message bit, so the extrinsic LLR of bit j is the sum of the
     other bits' LLRs in its block."""
-    llr = np.asarray(llr, dtype=np.float64)
+    llr = float_array(llr)
     x = llr.reshape(-1, block)
     if block < 8:
         # the same left-to-right sum as x.sum(axis=1), which adds fewer
@@ -140,6 +159,6 @@ def blockwise_loo_boxplus(llr, block):
     This is the extrinsic SISO update of a single parity-check code: the
     codebook is all even-weight vectors, so marginalizing the parity
     constraint gives the boxplus of the other bits."""
-    llr = np.asarray(llr, dtype=np.float64)
+    llr = float_array(llr)
     x = llr_to_phi(llr).reshape(-1, block).T  # (block, nblocks)
     return leave_one_out_boxplus(x).T.reshape(llr.shape)

@@ -11,6 +11,10 @@ order differs by perms[i]):
                  padding (s-i < 0) and tail rows are written once per frame.
   p2e[s, i]    : the plus node's LLR message to layer s-i.
 
+Both arrays have the dtype of the channel LLRs, float32 from
+channel.channel_llr, and every kernel computes in it; float64 LLRs give the
+float64 decoder.
+
 The plus node of layer s combines the channel LLR of c^(s) with its m+1
 branch messages under the XOR constraint (leave-one-out boxplus). The
 replication node of layer t adds its de-permuted messages p2e[t+i, i] and
@@ -67,12 +71,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import code_extrinsic_llr
-from .kernels import LLR_MAX, clamp, leave_one_out_boxplus, llr_to_phi, phi
+from .kernels import LLR_MAX, clamp, float_array, leave_one_out_boxplus, llr_to_phi, phi
 
 # e2p holds phi-domain messages (kernels.llr_to_phi): a uniform (zero)
 # message is phi(0) = inf, a known bit is phi(LLR_MAX) with its sign
 _PHI_UNIFORM = np.inf
-_PHI_MAX = float(phi(LLR_MAX))
 # the default stop of every decoder and of SimConfig: a window ends once the
 # mean binary entropy of its target layer's message bits falls below it
 STOP_THRESHOLD = 1e-5
@@ -107,7 +110,7 @@ class WindowDecoder:
 
     def __init__(self, sys, llrs, d, i_max, stop_threshold=STOP_THRESHOLD):
         T = sys.total_blocks
-        llrs = np.asarray(llrs, dtype=np.float64)
+        llrs = float_array(llrs)
         if llrs.shape != (T, sys.n):
             raise ValueError(f"expected channel LLRs of shape {(T, sys.n)}")
         if d < 0 or i_max < 1:
@@ -117,12 +120,14 @@ class WindowDecoder:
         self.i_max = i_max
         self.stop_threshold = stop_threshold
         m, n, L = sys.m, sys.n, sys.L
-        self.e2p = np.full((T, m + 2, n), _PHI_UNIFORM)
+        # a known bit in the messages' own dtype, as llr_to_phi maps LLR_MAX
+        self._phi_max = phi(llrs.dtype.type(LLR_MAX))
+        self.e2p = np.full((T, m + 2, n), _PHI_UNIFORM, dtype=llrs.dtype)
         self.e2p[:, 0] = llr_to_phi(llrs)
         for i in range(m + 1):
-            self.e2p[:i, i + 1] = _PHI_MAX      # no source layer s-i < 0
-            self.e2p[L + i:, i + 1] = _PHI_MAX  # zero tail known
-        self.p2e = np.zeros((T, m + 1, n))
+            self.e2p[:i, i + 1] = self._phi_max      # no source layer s-i < 0
+            self.e2p[L + i:, i + 1] = self._phi_max  # zero tail known
+        self.p2e = np.zeros((T, m + 1, n), dtype=llrs.dtype)
         # the m+1 messages of the replication node of layer t as flat
         # offsets from the start of layer t, in its own bit order: branch i
         # sits i layers further on, bit k at position invs[i, k]
@@ -201,7 +206,7 @@ class WindowDecoder:
         # would send them from this state
         w_tilde = hard_decision(((ext + s_in) - a).reshape(-1)[self._perm_flat])
         # decision feedback: pin the emitted layer for later windows
-        self._from(self.e2p, te)[self._e2p_at] = _PHI_MAX * (1.0 - 2.0 * v_hat)
+        self._from(self.e2p, te)[self._e2p_at] = np.where(v_hat, -self._phi_max, self._phi_max)
         return u_hat, v_hat, w_tilde, iters
 
     def _msg_llr(self, app):

@@ -205,5 +205,9 @@ def test_validation_errors():
     for sigma in (-1.0, float("nan")):
         with pytest.raises(ValueError):
             pep(1, 2, 0.1, sigma)
+    # outside [0, 1] the binomial mixture would take the log of a negative
+    for p_flip in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="p_flip must be in"):
+            pep(1, 2, p_flip, 1.0)
     with pytest.raises(ValueError):
         shannon_limit_biawgn(1.0)

@@ -66,6 +66,46 @@ def test_numpy_integer_fields_hash_as_ints():
     assert cfg.content_hash() == small_cfg().content_hash()
 
 
+@pytest.mark.parametrize("field, written, value", [
+    ("p_genie", 0, 0.0), ("stop_threshold", 1, 1.0), ("max_seconds", 5, 5.0),
+    ("p_genie", np.float32(0.25), 0.25), ("max_seconds", np.int64(-1), -1.0)])
+def test_float_fields_hash_as_floats(field, written, value):
+    # a rerun that writes 0 for 0.0 names the same results
+    over = {"decoder": "gad_flipped", "p_genie": 0.1, field: written}
+    cfg = small_cfg(**over)
+    assert getattr(cfg, field) == value and type(getattr(cfg, field)) is float
+    assert cfg.content_hash() == small_cfg(**{**over, field: value}).content_hash()
+
+
+@pytest.mark.parametrize("field", ["p_genie", "max_seconds", "stop_threshold"])
+@pytest.mark.parametrize("value", [True, "0.1", None])
+def test_float_fields_refuse_bools_and_strings(field, value):
+    with pytest.raises(ConfigError, match=f"need {field} a real number"):
+        small_cfg(**{field: value})
+
+
+def test_content_hash_covers_only_the_fields_the_decoder_reads():
+    def same(decoder, **over):
+        base = dict(decoder=decoder, p_genie=0.1)
+        return (small_cfg(**base).content_hash()
+                == small_cfg(**dict(base, **over)).content_hash())
+
+    for decoder in ("swd", "tpd"):
+        assert same(decoder, p_genie=0.2)
+        for over in (dict(d=5), dict(i_max=3), dict(stop_threshold=1e-3)):
+            assert not same(decoder, **over)
+    for decoder in ("gad_perfect", "gad_flipped"):
+        for over in (dict(d=5), dict(i_max=3), dict(stop_threshold=1e-3)):
+            assert same(decoder, **over)
+    assert same("gad_perfect", p_genie=0.2)
+    assert not same("gad_flipped", p_genie=0.2)
+    # the fields every decoder reads stay in
+    for decoder in ("swd", "gad_perfect"):
+        for over in (dict(seed=2), dict(max_seconds=5.0), dict(min_bit_errors=7),
+                     dict(max_bits=999), dict(ebn0_grid_db=(3.0,)), dict(L=5)):
+            assert not same(decoder, **over)
+
+
 def test_default_delay_is_three_m():
     assert small_cfg(m=4, decoder="swd").delay == 12
     assert small_cfg(d=7).delay == 7
@@ -211,7 +251,7 @@ DIGEST_SWEEPS = [
     dict(decoder="gad_perfect", code="RC[2,1]^20", m=2),
     dict(decoder="gad_flipped", code="SPC[4,3]^10", m=2, p_genie=0.02),
 ]
-RESULTS_DIGESTS = {2: "f978c597f6a1c20c7a04be66d17109c02569491f7f9db2c31ddf09dbda320bee"}
+RESULTS_DIGESTS = {3: "74d343e2af08fb0339b7d6e5bb76cfc16bc2490a7eafeb5bbc7d56eaaddf33f5"}
 
 
 def test_results_version_pins_seeded_results():
