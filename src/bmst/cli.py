@@ -7,6 +7,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -15,6 +16,9 @@ from . import analysis, harness
 from .codes import FAMILIES, CodeError, compute_iowef, parse_code_spec
 
 SCHEMA_VERSION = 1
+# the most points parse_grid accepts: a bound curve finer than this shows
+# nothing more, and a typo in the step would otherwise run for hours
+MAX_GRID_POINTS = 10_000
 
 CONFIG_FIELDS = ("schema_version", *(f.name for f in dataclasses.fields(harness.SimConfig)))
 REQUIRED_FIELDS = ("schema_version", *(f.name for f in dataclasses.fields(harness.SimConfig)
@@ -41,7 +45,9 @@ def parse_rate(text):
 
 
 def parse_grid(text):
-    """"start:step:end" in dB, end inclusive up to rounding."""
+    """"start:step:end" in dB, end inclusive up to rounding. Points are
+    rounded to 9 decimals, and a grid must keep them distinct and have at
+    most MAX_GRID_POINTS of them."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError('grid must be "start:step:end"')
@@ -49,13 +55,19 @@ def parse_grid(text):
         start, step, end = (float(p) for p in parts)
     except ValueError as e:
         raise UsageError(f"bad grid: {e}")
+    if not all(map(math.isfinite, (start, step, end))):
+        raise UsageError("grid needs finite start, step and end")
     if step <= 0 or end < start:
         raise UsageError("grid needs step > 0 and end >= start")
     grid = []
     g = start
     while g <= end + 1e-9:
+        if len(grid) == MAX_GRID_POINTS:
+            raise UsageError(f"grid has more than {MAX_GRID_POINTS} points")
         grid.append(round(g, 9))
         g += step
+    if len(set(grid)) < len(grid):
+        raise UsageError("grid repeats a point once rounded to 9 decimals")
     return grid
 
 

@@ -123,10 +123,14 @@ class SimConfig:
     def content_hash(self):
         """Identity of the results: every field that affects them, plus the
         results version of the code. The worker count changes no result,
-        and nor does a decoder parameter that cfg.decoder does not read."""
+        and nor does a decoder parameter that cfg.decoder does not read.
+        The delay d hashes as the window it runs, so d = -1 and d = 3m
+        name the same results."""
         unread = {p for params in DECODER_PARAMS.values() for p in params}
         unread = unread.difference(DECODER_PARAMS[self.decoder]) | {"workers"}
         d = {k: v for k, v in self.to_dict().items() if k not in unread}
+        if "d" in d:
+            d["d"] = self.delay
         d["results_version"] = RESULTS_VERSION
         blob = json.dumps(d, sort_keys=False).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -212,8 +216,9 @@ def simulate_frame(cfg, ebn0_db, point_idx, frame_idx):
         del words  # only v is held through phase I
         u_hat, phase1 = decode_frame_tpd(sys, y, sigma, cfg.delay, cfg.i_max,
                                          cfg.stop_threshold)
-        out.p1_bits = phase1.w_tilde.size
-        out.p1_errors = sum(int(np.sum(phase1.w_tilde[:, i] != v[:, perm]))
+        w_tilde = phase1.w_tilde[:sys.L]  # the tail's zeros are known, not decided
+        out.p1_bits = w_tilde.size
+        out.p1_errors = sum(int(np.sum(w_tilde[:, i] != v[:, perm]))
                             for i, perm in enumerate(sys.interleavers.perms))
         out.iters = int(phase1.iterations.sum())
         out.layers = sys.L

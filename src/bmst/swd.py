@@ -29,10 +29,12 @@ uniform.
 Each iteration on the window [te, hi] is a forward sweep (plus node, then
 replication node, at s = te..hi) and a backward sweep of plus nodes
 (s = hi..te+1); the stop check then takes the APP of layer te from p2e.
-With m = 0 or d = 0 the sweeps change no message that layer te reads, so
-its window runs one iteration. A node computes only the messages that some
-node reads before they are overwritten, and each line below says why the
-others are dead:
+No node writes p2e[te+i, i] between the stop check and the next forward
+eq(te), so the check's evaluation of eq(te) feeds that node too. With
+m = 0 or d = 0 the sweeps change no message that layer te reads, so its
+window runs one iteration, whose forward eq(te) writes nothing. A node
+computes only the messages that some node reads before they are
+overwritten, and each line below says why the others are dead:
 
   forward plus(te)  branch 0, once per window, before the first sweep. Its
                     input rows 0 and 2..m+1 hold the channel and pinned
@@ -64,6 +66,8 @@ others are dead:
 The emitted layer's branch decisions w_tilde are the signs of the messages
 its replication node sends from the final state, computed as LLRs: the
 phi domain maps a zero and a subnormal message alike to an infinity.
+decode_frame_swd returns them as bmst.tpd side information, whose m tail
+layers are the known zero words: phase II's genie as it is.
 """
 
 from dataclasses import dataclass
@@ -100,9 +104,8 @@ def hard_decision(llr):
 @dataclass
 class SwdResult:
     u_hat: np.ndarray      # (L, k) message decisions
-    w_tilde: np.ndarray    # (L, m+1, n) hard extrinsic branch decisions
+    w_tilde: np.ndarray    # (T, m+1, n) hard extrinsic branch decisions
     iterations: np.ndarray  # (L,) iterations used per emitted layer
-    v_hat: np.ndarray      # (L, n) intermediate codeword decisions
 
 
 class WindowDecoder:
@@ -158,26 +161,27 @@ class WindowDecoder:
         s_in = clamp(a.sum(axis=0))
         return a, s_in, code_extrinsic_llr(self.sys.basic.short, s_in)
 
-    def _update_eq_code(self, t, first, count):
-        """Replication node of layer t < L; writes its messages on branches
-        first <= i < count."""
+    def _update_eq_code(self, t, first, count, inputs):
+        """Replication node of layer t < L, given _eq_inputs(t); writes its
+        messages on branches first <= i < count."""
         if first >= count:
             return
-        a, s_in, ext = self._eq_inputs(t)
+        a, s_in, ext = inputs
         msg = clamp((ext + s_in) - a[first:count])
         self._from(self.e2p, t)[self._e2p_at[first:count]] = llr_to_phi(msg)
 
     # -- window schedule ----------------------------------------------------
 
-    def _iterate(self, te, hi):
+    def _iterate(self, te, hi, eq_te):
         """One forward + backward sweep across window layers [te, hi],
         computing only the messages that a later node reads. The forward
-        plus(te) runs once per window, in decode_step."""
+        plus(te) runs once per window, in decode_step, which also hands
+        over eq_te, the _eq_inputs(te) of the current messages."""
         m, L = self.sys.m, self.sys.L
-        self._update_eq_code(te, 1, min(m, hi - te) + 1)
+        self._update_eq_code(te, 1, min(m, hi - te) + 1, eq_te)
         for s in range(te + 1, min(hi, L - 1) + 1):
             self._update_plus(s, 0, 0)
-            self._update_eq_code(s, 0, min(m, hi - s) + 1)
+            self._update_eq_code(s, 0, min(m, hi - s) + 1, self._eq_inputs(s))
         for s in range(hi, te, -1):
             self._update_plus(s, max(1, s - L + 1), min(m, s - te))
 
@@ -186,15 +190,17 @@ class WindowDecoder:
         sys = self.sys
         hi = min(te + self.d, sys.total_blocks - 1)
         self._update_plus(te, 0, 0)  # fixed for the window; see the schedule
-        # a second iteration would repeat the first one's APP when the sweeps
-        # change nothing layer te reads (module docstring)
-        i_max = 1 if sys.m == 0 or hi == te else self.i_max
+        # when the sweeps change nothing layer te reads, a second iteration
+        # would repeat the first one's APP, and the forward eq(te) writes nothing
+        idle = sys.m == 0 or hi == te
+        i_max = 1 if idle else self.i_max
+        eq_te = None if idle else self._eq_inputs(te)
         prev_ent = np.inf
         iters = 0
         for _ in range(i_max):
-            self._iterate(te, hi)
+            self._iterate(te, hi, eq_te)
             iters += 1
-            a, s_in, ext = self._eq_inputs(te)
+            eq_te = a, s_in, ext = self._eq_inputs(te)
             app = clamp(s_in + ext)  # full APP on layer te's codeword bits
             ent = binary_entropy_from_llr(self._msg_llr(app))
             if ent < self.stop_threshold or ent >= prev_ent:
@@ -218,11 +224,10 @@ class WindowDecoder:
 def decode_frame_swd(sys, llrs, d, i_max, stop_threshold=STOP_THRESHOLD):
     """Slide the window across a complete frame, emitting layers 0..L-1."""
     dec = WindowDecoder(sys, llrs, d, i_max, stop_threshold)
-    L, m, n = sys.L, sys.m, sys.n
+    L = sys.L
     u_hat = np.empty((L, sys.k), dtype=np.uint8)
-    v_hat = np.empty((L, n), dtype=np.uint8)
-    w_tilde = np.empty((L, m + 1, n), dtype=np.uint8)
+    w_tilde = np.zeros((sys.total_blocks, sys.m + 1, sys.n), dtype=np.uint8)
     iters = np.empty(L, dtype=np.int64)
     for te in range(L):
-        u_hat[te], v_hat[te], w_tilde[te], iters[te] = dec.decode_step(te)
-    return SwdResult(u_hat=u_hat, w_tilde=w_tilde, iterations=iters, v_hat=v_hat)
+        u_hat[te], _, w_tilde[te], iters[te] = dec.decode_step(te)
+    return SwdResult(u_hat=u_hat, w_tilde=w_tilde, iterations=iters)

@@ -28,18 +28,12 @@ class SideInfoError(ValueError):
 # reported by a (possibly noisy) genie for every layer, tail layers
 # included. A layer's own branch words are never consulted when it is
 # decoded. The true words, the perfect genie, are what
-# coupling.encode_frame returns with return_intermediate=True.
+# coupling.encode_frame returns with return_intermediate=True; phase I
+# emits this format too (swd.SwdResult.w_tilde, tail layers zero).
 
 def flipped_side_info(words, p_genie, rng):
     """The branch words with each bit independently flipped with prob p_genie."""
     return words ^ (rng.random(words.shape) < p_genie).astype(np.uint8)
-
-
-def phase_one_side_info(sys, w_tilde):
-    """Phase-I outputs (L, m+1, n) padded with the known all-zero tail."""
-    words = np.zeros((sys.total_blocks, sys.m + 1, sys.n), dtype=np.uint8)
-    words[:sys.L] = w_tilde
-    return words
 
 
 def gad_cancel(sys, y, words):
@@ -92,4 +86,4 @@ def decode_frame_tpd(sys, y, sigma, d, i_max, stop_threshold=STOP_THRESHOLD):
     and the phase-I SwdResult."""
     y = np.asarray(y, dtype=np.float64)
     phase1 = decode_frame_swd(sys, channel_llr(y, sigma), d, i_max, stop_threshold)
-    return decode_frame_gad(sys, y, phase_one_side_info(sys, phase1.w_tilde)), phase1
+    return decode_frame_gad(sys, y, phase1.w_tilde), phase1

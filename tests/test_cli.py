@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import bmst
-from bmst.cli import (load_config, main, parse_grid, parse_rate, short_code_for,
-                      UsageError)
+from bmst.cli import (MAX_GRID_POINTS, load_config, main, parse_grid, parse_rate,
+                      short_code_for, UsageError)
 from bmst.codes import FAMILIES
 from bmst.harness import SimConfig, clopper_pearson
 
@@ -50,6 +50,24 @@ def test_parse_grid():
     for bad in ("1:2", "1:0:2", "2:1:1", "a:b:c"):
         with pytest.raises(UsageError):
             parse_grid(bad)
+
+
+@pytest.mark.parametrize("grid", [
+    "0:1:inf", "inf:1:inf", "-inf:1:0", "nan:1:2", "0:1:nan", "0:nan:1",  # not finite
+    "0:1e-10:1e-9",  # rounding to 9 decimals repeats points
+    "0:1e-9:1000", "1e17:1:1e18",  # more than MAX_GRID_POINTS
+])
+def test_bound_refuses_grids_it_cannot_run(tmp_path, capsys, grid):
+    out = tmp_path / "bounds.csv"
+    assert main(["bound", "--spec", "RC[2,1]^100", "--kind", "lower", "--m", "2",
+                 f"--grid={grid}", "--out", str(out)]) == 1
+    assert "grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parse_grid_keeps_grids_up_to_the_cap():
+    assert parse_grid(f"0:1:{MAX_GRID_POINTS - 1}") == list(range(MAX_GRID_POINTS))
+    assert parse_grid("0:2e-9:4e-9") == [0.0, 2e-9, 4e-9]
 
 
 def test_short_code_for():

@@ -106,6 +106,14 @@ def test_content_hash_covers_only_the_fields_the_decoder_reads():
             assert not same(decoder, **over)
 
 
+@pytest.mark.parametrize("decoder", ["swd", "tpd"])
+def test_default_delay_hashes_as_the_window_it_runs(decoder):
+    default = small_cfg(decoder=decoder, m=2)  # d = -1 runs d = 3m
+    assert default.delay == 6
+    assert default.content_hash() == small_cfg(decoder=decoder, m=2, d=6).content_hash()
+    assert default.content_hash() != small_cfg(decoder=decoder, m=2, d=7).content_hash()
+
+
 def test_default_delay_is_three_m():
     assert small_cfg(m=4, decoder="swd").delay == 12
     assert small_cfg(d=7).delay == 7

@@ -231,6 +231,14 @@ def test_kernels_keep_float32():
     assert phi(LLR_MAX).dtype == np.float64
 
 
+def _steps(dec):
+    """decode_step's (u_hat, v_hat, w_tilde, iterations) at every data layer
+    of the frame, each stacked over the layers: the loop of
+    decode_frame_swd, keeping the codeword decisions v_hat that it uses
+    only for decision feedback."""
+    return [np.array(out) for out in zip(*(dec.decode_step(t) for t in range(dec.sys.L)))]
+
+
 def _agreement_frames(spec, m, ebn0, frames, L=30):
     """The system and seeded frames of a float32 agreement case: per frame
     the message, the float32 channel LLRs and the float64 LLRs that
@@ -259,12 +267,12 @@ def test_float32_decoder_decides_as_float64(spec, m, d, ebn0):
     zero: on six other seeded SPC[4,3]^300 frames, 1 of 864k did."""
     for sys_, msgs, llr32, llr64 in _agreement_frames(spec, m, ebn0, 6):
         assert llr32.dtype == np.float32
-        single = decode_frame_swd(sys_, llr32, d=d, i_max=18)
-        double = decode_frame_swd(sys_, llr64, d=d, i_max=18)
-        assert np.array_equal(single.u_hat, double.u_hat)
-        assert np.array_equal(single.v_hat, double.v_hat)
-        same = single.iterations == double.iterations
-        assert np.array_equal(single.w_tilde[same], double.w_tilde[same])
+        u32, v32, w32, iters32 = _steps(WindowDecoder(sys_, llr32, d, 18))
+        u64, v64, w64, iters64 = _steps(WindowDecoder(sys_, llr64, d, 18))
+        assert np.array_equal(u32, u64)
+        assert np.array_equal(v32, v64)
+        same = iters32 == iters64
+        assert np.array_equal(w32[same], w64[same])
 
 
 def test_float32_messages_take_half_the_memory():
@@ -320,7 +328,7 @@ def test_noiseless_decode_recovers_messages():
     res = decode_frame_swd(sys_, _noiseless_llrs(sys_, msgs), d=6, i_max=18)
     assert np.array_equal(res.u_hat, msgs)
     _, words = bmst.encode_frame(sys_, msgs, return_intermediate=True)
-    assert np.array_equal(res.w_tilde, words[:6])
+    assert np.array_equal(res.w_tilde, words)  # the zero tail included
     assert res.iterations.max() <= 2  # entropy stop fires immediately
 
 
@@ -470,11 +478,12 @@ def test_live_message_schedule_matches_full_schedule(spec, m, d, i_max):
     sys_, frames = _schedule_frames(spec, m, d)
     for llr in frames:
         res = decode_frame_swd(sys_, llr, d=d, i_max=i_max)
+        v_hats = _steps(WindowDecoder(sys_, llr, d, i_max))[1]
         ref = FullScheduleDecoder(sys_, llr, d, i_max)
         for t in range(L):
             u_hat, v_hat, w_tilde, iters = ref.decode_step(t)
             assert np.array_equal(res.u_hat[t], u_hat)
-            assert np.array_equal(res.v_hat[t], v_hat)
+            assert np.array_equal(v_hats[t], v_hat)
             assert np.array_equal(res.w_tilde[t], w_tilde)
             assert res.iterations[t] == iters
 
@@ -495,11 +504,12 @@ def test_idle_windows_run_one_iteration(spec, m, d, i_max):
     for llr in frames:
         res = decode_frame_swd(sys_, llr, d=d, i_max=i_max)
         assert (res.iterations == 1).all()
+        v_hats = _steps(WindowDecoder(sys_, llr, d, i_max))[1]
         ref = TwoPassReference(sys_, llr, d, i_max)
         for t in range(SCHEDULE_L):
             u_hat, v_hat, w_tilde, _ = ref.decode_step(t)
             assert np.array_equal(res.u_hat[t], u_hat)
-            assert np.array_equal(res.v_hat[t], v_hat)
+            assert np.array_equal(v_hats[t], v_hat)
             assert np.array_equal(res.w_tilde[t], w_tilde)
 
 
@@ -514,8 +524,8 @@ class ScramblingDecoder(WindowDecoder):
         super().__init__(*args, **kwargs)
         self.rng = np.random.default_rng(17)
 
-    def _iterate(self, te, hi):
-        super()._iterate(te, hi)
+    def _iterate(self, te, hi, eq_te):
+        super()._iterate(te, hi, eq_te)
         n, L = self.sys.n, self.sys.L
         self.p2e[te + 1:hi + 1, 0] = self.rng.normal(0, 8, (hi - te, n))
         rows = min(hi, L - 1) + 1 - te
@@ -528,10 +538,39 @@ def test_dead_messages_are_never_read(spec, m, d, i_max):
     sys_, frames = _schedule_frames(spec, m, d)
     for llr in frames:
         res = decode_frame_swd(sys_, llr, d=d, i_max=i_max)
+        v_hats = _steps(WindowDecoder(sys_, llr, d, i_max))[1]
         dec = ScramblingDecoder(sys_, llr, d, i_max)
         for t in range(SCHEDULE_L):
             u_hat, v_hat, w_tilde, iters = dec.decode_step(t)
             assert np.array_equal(res.u_hat[t], u_hat)
-            assert np.array_equal(res.v_hat[t], v_hat)
+            assert np.array_equal(v_hats[t], v_hat)
             assert np.array_equal(res.w_tilde[t], w_tilde)
             assert res.iterations[t] == iters
+
+
+@pytest.mark.parametrize("spec", SCHEDULE_SPECS)
+@pytest.mark.parametrize("m,d,i_max", SCHEDULE_CASES)
+def test_eq_nodes_run_the_code_once_per_visit(monkeypatch, spec, m, d, i_max):
+    """The window of layer te calls the basic code's extrinsic once after
+    the forward plus(te), once per stop check, whose result the next
+    forward eq(te) takes over, and once per forward eq(s), te < s <=
+    min(hi, L-1). A window with m = 0 or d = 0 skips the first call: its
+    forward eq(te) writes nothing."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return code_extrinsic_llr(*args)
+
+    monkeypatch.setattr("bmst.swd.code_extrinsic_llr", counted)
+    sys_, frames = _schedule_frames(spec, m, d)
+    L = SCHEDULE_L
+    for llr in frames:
+        dec = WindowDecoder(sys_, llr, d, i_max)
+        for te in range(L):
+            before = calls
+            iters = dec.decode_step(te)[3]
+            hi = min(te + d, sys_.total_blocks - 1)
+            idle = m == 0 or hi == te
+            assert calls - before == (not idle) + iters * (1 + min(hi, L - 1) - te)

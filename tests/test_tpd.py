@@ -5,8 +5,7 @@ import bmst
 from bmst.channel import channel_llr, ebn0_to_sigma, transmit
 from bmst.swd import decode_frame_swd
 from bmst.tpd import (SideInfoError, decode_frame_gad, decode_frame_tpd,
-                      flipped_side_info, gad_cancel, gad_minimize,
-                      phase_one_side_info)
+                      flipped_side_info, gad_cancel, gad_minimize)
 
 
 def _frame(spec, m, L, seed, msg_seed):
@@ -101,13 +100,17 @@ def test_gad_minimize_repetition_is_a_sign_test():
         assert np.array_equal(u_hat[t], (r < 0).astype(np.uint8))
 
 
-def test_phase_one_side_info_pads_zero_tail():
-    sys_ = bmst.make_system("RC[2,1]^4", 2, 3, 0)
-    w = np.ones((3, 3, 8), dtype=np.uint8)
-    words = phase_one_side_info(sys_, w)
-    assert words.shape == (5, 3, 8)
-    assert words[:3].all()
-    assert not words[3:].any()
+def test_phase_one_side_info_has_zero_tail():
+    # phase I decides no tail layer, though the tail's channel values are
+    # as noisy as the data layers'
+    sys_, msgs, c, words = _frame("RC[2,1]^50", 3, 6, 0, 3)
+    sigma = ebn0_to_sigma(0.0, sys_.basic.rate)
+    y = transmit(bmst.bpsk_map(c), sigma, np.random.default_rng(2))
+    _, phase1 = decode_frame_tpd(sys_, y, sigma, d=6, i_max=4)
+    w_tilde = phase1.w_tilde
+    assert w_tilde.shape == words.shape == (sys_.total_blocks, sys_.m + 1, sys_.n)
+    assert (w_tilde[:sys_.L] != words[:sys_.L]).any()  # phase I made errors
+    assert not w_tilde[sys_.L:].any()
 
 
 def _side_info(source, sys_, words, y, sigma, rng):
@@ -115,8 +118,7 @@ def _side_info(source, sys_, words, y, sigma, rng):
         return words
     if source == "flipped":
         return flipped_side_info(words, 0.05, rng)
-    ph1 = decode_frame_swd(sys_, channel_llr(y, sigma), d=sys_.m, i_max=2)
-    return phase_one_side_info(sys_, ph1.w_tilde)
+    return decode_frame_swd(sys_, channel_llr(y, sigma), d=sys_.m, i_max=2).w_tilde
 
 
 @pytest.mark.parametrize("source", ["perfect", "flipped", "phase_one"])
@@ -144,7 +146,7 @@ def test_tpd_noiseless_matches_messages_both_phases():
     u_hat, phase1 = decode_frame_tpd(sys_, y, 0.3, d=6, i_max=10)
     assert np.array_equal(u_hat, msgs)
     assert np.array_equal(phase1.u_hat, msgs)
-    assert np.array_equal(phase1.w_tilde, words[:6])
+    assert np.array_equal(phase1.w_tilde, words)
 
 
 def test_tpd_cleans_residual_errors_at_moderate_snr():

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import bmst
+import bmst.harness
 import bmst.tpd
+from bmst.harness import SimConfig, simulate_frame
 from bmst.tpd import decode_frame_tpd
 
 SPEC_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
@@ -52,3 +54,23 @@ def test_tpd_frame_calls_the_traced_gad_sites(monkeypatch):
     # one call each per frame: perfbench's tpd.gad_*.us_per_layer metrics
     # divide by the calls, so they read microseconds per frame
     assert calls == {"gad_cancel": 1, "gad_minimize": 1}
+
+
+@pytest.mark.parametrize("decoder, site", [("swd", bmst.harness), ("tpd", bmst.tpd)])
+def test_window_decoder_spans_return_iterations_per_layer(monkeypatch, decoder, site):
+    # perfbench/worker.py reads res.iterations.sum() and .size from both
+    # decode_frame_swd spans for swd.iters_per_layer: one integer per layer
+    results = []
+    inner = site.decode_frame_swd
+
+    def recorded(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(site, "decode_frame_swd", recorded)
+    cfg = SimConfig(code="RC[2,1]^10", m=2, L=5, decoder=decoder, ebn0_grid_db=(2.0,))
+    counts = simulate_frame(cfg, 2.0, 0, 0)
+    [res] = results
+    assert res.iterations.shape == (cfg.L,)
+    assert np.issubdtype(res.iterations.dtype, np.integer)
+    assert res.iterations.sum() == counts.iters
