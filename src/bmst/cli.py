@@ -61,7 +61,7 @@ def parse_grid(text):
         raise UsageError("grid needs step > 0 and end >= start")
     grid = []
     g = start
-    while g <= end + 1e-9:
+    while g <= end + min(1e-9, step / 2):
         if len(grid) == MAX_GRID_POINTS:
             raise UsageError(f"grid has more than {MAX_GRID_POINTS} points")
         grid.append(round(g, 9))

@@ -31,8 +31,9 @@ replication node, at s = te..hi) and a backward sweep of plus nodes
 (s = hi..te+1); the stop check then takes the APP of layer te from p2e.
 No node writes p2e[te+i, i] between the stop check and the next forward
 eq(te), so the check's evaluation of eq(te) feeds that node too. With
-m = 0 or d = 0 the sweeps change no message that layer te reads, so its
-window runs one iteration, whose forward eq(te) writes nothing. A node
+m = 0 no layer reads another's messages, so the window is layer te alone,
+as with d = 0. A one-layer window's sweeps change no message that layer te
+reads, so it runs one iteration, whose forward eq(te) writes nothing. A node
 computes only the messages that some node reads before they are
 overwritten, and each line below says why the others are dead:
 
@@ -188,11 +189,11 @@ class WindowDecoder:
     def decode_step(self, te):
         """Run the window whose target (oldest) layer is te; emit it."""
         sys = self.sys
-        hi = min(te + self.d, sys.total_blocks - 1)
+        hi = te if sys.m == 0 else min(te + self.d, sys.total_blocks - 1)
         self._update_plus(te, 0, 0)  # fixed for the window; see the schedule
-        # when the sweeps change nothing layer te reads, a second iteration
+        # a one-layer window changes nothing layer te reads: a second iteration
         # would repeat the first one's APP, and the forward eq(te) writes nothing
-        idle = sys.m == 0 or hi == te
+        idle = hi == te
         i_max = 1 if idle else self.i_max
         eq_te = None if idle else self._eq_inputs(te)
         prev_ent = np.inf

@@ -5,8 +5,10 @@ layer's contribution from the m+1 received sub-blocks it touches, using
 side-information branch words, then picking the short codeword that
 minimizes the combined Euclidean metric (a correlation maximization, B
 independent searches of at most 2^K codewords each). It works on the whole
-frame at once: the superposition x of all side-information words is built
-once, and the interference on y^(t+i) outside layer t is x[t+i] XOR w^(t,i).
+frame at once. The interference on y^(t+i) outside layer t is x[t+i] XOR
+w^(t,i), x the superposition of the side-information words. As a sign,
+s(b) = 1 - 2b, that is s(x[t+i]) s(w^(t,i)): the frame is stripped of x
+once, and each branch adds its gathered rows into one (L, n) correlation.
 
 The two-phase decoder (TPD) runs the sliding-window decoder as phase I,
 takes the hard extrinsic branch decisions as a noisy genie, and re-decodes
@@ -37,13 +39,10 @@ def flipped_side_info(words, p_genie, rng):
 
 
 def gad_cancel(sys, y, words):
-    """Strip all other layers' contributions from the received rows of
-    every data layer.
-
-    y: (T, n) received frame; words: (T, m+1, n) side information. Returns
-    (L, m+1, n) cleaned observations: row [t, i] is y^(t+i) with sign flips
-    wherever the side-information estimate of the interference on c^(t+i),
-    the superposition x[t+i] without layer t's own term, is 1."""
+    """Per-v-bit correlations (L, n) of every data layer, with all other
+    layers' contributions stripped. y: (T, n) received frame; words:
+    (T, m+1, n) side information. Row t sums, in branch order, y^(t+i) times
+    s(x[t+i]) s(w^(t,i)), gathered back through interleaver i."""
     m, n, L, T = sys.m, sys.n, sys.L, sys.total_blocks
     y = np.asarray(y, dtype=np.float64)
     words = np.asarray(words, dtype=np.uint8)
@@ -51,26 +50,25 @@ def gad_cancel(sys, y, words):
         raise SideInfoError(f"received frame shape {y.shape} != {(T, n)}")
     if words.shape != (T, m + 1, n):
         raise SideInfoError(f"side info shape {words.shape} != {(T, m + 1, n)}")
-    rows = np.arange(L)[:, None] + np.arange(m + 1)  # (L, m+1): t+i
-    interference = superpose(words)[rows] ^ words[:L]
-    cleaned = y[rows]
     # times +-1 is an exact sign flip; int8, since 1 - 2 * uint8 wraps
-    cleaned *= 1 - 2 * interference.view(np.int8)
-    return cleaned
+    stripped = y * (1 - 2 * superpose(words).view(np.int8))
+    r = np.zeros((L, n))
+    flipped = np.empty((L, n))  # reused: a fresh (L, n) per branch churns the heap
+    for i, inv in enumerate(sys.interleavers.invs):
+        np.multiply(stripped[i:i + L], 1 - 2 * words[:L, i].view(np.int8), out=flipped)
+        r += np.take(flipped, inv, axis=1)
+    return r
 
 
-def gad_minimize(sys, cleaned):
+def gad_minimize(sys, r):
     """Minimum-Euclidean-distance decoding of every data layer from its
-    cleaned observations (L, m+1, n); returns the (L, k) messages. Ties
-    break toward the lexicographically smallest message (codebook order)."""
-    short, invs, L = sys.basic.short, sys.interleavers.invs, sys.L
-    r = np.zeros((L, sys.n))  # per-v-bit correlation, branches de-permuted
-    for i in range(sys.m + 1):
-        r += np.take(cleaned[:, i], invs[i], axis=1)
+    (L, n) correlations; returns the (L, k) messages. Ties break toward the
+    lexicographically smallest message (codebook order)."""
+    short = sys.basic.short
     signs = 1.0 - 2.0 * short.codebook.astype(np.float64)  # (ncw, N)
-    scores = r.reshape(L * sys.basic.B, short.N) @ signs.T  # maximize correlation
+    scores = r.reshape(sys.L * sys.basic.B, short.N) @ signs.T  # maximize correlation
     best = np.argmax(scores, axis=1)
-    return short.codebook_msgs[best].reshape(L, sys.k)
+    return short.codebook_msgs[best].reshape(sys.L, sys.k)
 
 
 def decode_frame_gad(sys, y, words):

@@ -70,6 +70,15 @@ def test_parse_grid_keeps_grids_up_to_the_cap():
     assert parse_grid("0:2e-9:4e-9") == [0.0, 2e-9, 4e-9]
 
 
+def test_parse_grid_ends_at_its_end():
+    # the slack past the end is under half a step, so a tiny step gets no
+    # extra point, while the usual grids keep their rounded end point
+    assert parse_grid("0:1e-9:2e-9") == [0.0, 1e-9, 2e-9]
+    assert parse_grid("0:0.1:1") == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    assert parse_grid("-1:0.25:1") == [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0]
+    assert parse_grid("0.5:0.05:0.7") == [0.5, 0.55, 0.6, 0.65, 0.7]
+
+
 def test_short_code_for():
     assert short_code_for("rc", parse_rate("1/4")).N == 4
     assert short_code_for("spc", parse_rate("7/8")).N == 8

@@ -554,8 +554,9 @@ def test_eq_nodes_run_the_code_once_per_visit(monkeypatch, spec, m, d, i_max):
     """The window of layer te calls the basic code's extrinsic once after
     the forward plus(te), once per stop check, whose result the next
     forward eq(te) takes over, and once per forward eq(s), te < s <=
-    min(hi, L-1). A window with m = 0 or d = 0 skips the first call: its
-    forward eq(te) writes nothing."""
+    min(hi, L-1). With m = 0 the window is layer te alone, as with d = 0.
+    A one-layer window skips the first call: its forward eq(te) writes
+    nothing."""
     calls = 0
 
     def counted(*args):
@@ -571,6 +572,6 @@ def test_eq_nodes_run_the_code_once_per_visit(monkeypatch, spec, m, d, i_max):
         for te in range(L):
             before = calls
             iters = dec.decode_step(te)[3]
-            hi = min(te + d, sys_.total_blocks - 1)
-            idle = m == 0 or hi == te
+            hi = te if m == 0 else min(te + d, sys_.total_blocks - 1)
+            idle = hi == te
             assert calls - before == (not idle) + iters * (1 + min(hi, L - 1) - te)

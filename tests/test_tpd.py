@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,13 +61,14 @@ def test_perfect_side_info_noiseless_gad():
 
 
 def test_gad_cancel_strips_interference_exactly():
-    # with perfect side info, the cleaned rows are the BPSK image of each
-    # layer's own branch words (up to the channel noise)
+    # with perfect side info, each cleaned row is the BPSK image of the
+    # layer's own branch word (up to the channel noise), which gathers back
+    # to its codeword v: the correlation is m+1 looks at BPSK(v)
     sys_, msgs, c, w = _frame("SPC[4,3]^5", 2, 4, 3, 2)
     y = bmst.bpsk_map(c)
-    cleaned = gad_cancel(sys_, y, w)
-    assert cleaned.shape == (sys_.L, sys_.m + 1, sys_.n)
-    assert np.array_equal(cleaned, bmst.bpsk_map(w[:sys_.L]))
+    r = gad_cancel(sys_, y, w)
+    assert r.shape == (sys_.L, sys_.n) and r.dtype == np.float64
+    assert np.array_equal(r, (sys_.m + 1) * bmst.bpsk_map(w[:sys_.L, 0]))
 
 
 def test_gad_ignores_own_layer_side_info():
@@ -93,11 +96,11 @@ def test_gad_minimize_repetition_is_a_sign_test():
     sys_, msgs, c, words = _frame("RC[2,1]^8", 1, 3, 2, 6)
     rng = np.random.default_rng(3)
     y = transmit(bmst.bpsk_map(c), 0.8, rng)
-    cleaned = gad_cancel(sys_, y, words)
-    u_hat = gad_minimize(sys_, cleaned)
+    r = gad_cancel(sys_, y, words)
+    u_hat = gad_minimize(sys_, r)
     for t in range(sys_.L):
-        r = oracle_correlation(sys_, cleaned[t]).reshape(-1, 2).sum(axis=1)
-        assert np.array_equal(u_hat[t], (r < 0).astype(np.uint8))
+        block_sums = r[t].reshape(-1, 2).sum(axis=1)
+        assert np.array_equal(u_hat[t], (block_sums < 0).astype(np.uint8))
 
 
 def test_phase_one_side_info_has_zero_tail():
@@ -133,10 +136,11 @@ def test_whole_frame_gad_matches_per_layer_oracle(spec, m, source):
         # that ties between codewords occur
         for y in (transmit(bmst.bpsk_map(c), sigma, rng), bmst.bpsk_map(c)):
             words = _side_info(source, sys_, truth, y, sigma, rng)
-            cleaned = gad_cancel(sys_, y, words)
+            r = gad_cancel(sys_, y, words)
             u_hat = decode_frame_gad(sys_, y, words)
             for t in range(L):
-                assert np.array_equal(cleaned[t], oracle_cancel(sys_, y, words, t))
+                oracle = oracle_correlation(sys_, oracle_cancel(sys_, y, words, t))
+                assert np.array_equal(r[t], oracle)
                 assert np.array_equal(u_hat[t], oracle_gad_layer(sys_, y, words, t))
 
 
@@ -166,4 +170,18 @@ def test_side_info_shape_validation():
     good = np.zeros((4, 2, 8), dtype=np.uint8)
     with pytest.raises(SideInfoError):
         gad_cancel(sys_, np.zeros((3, 8)), good)
-    assert gad_cancel(sys_, np.zeros((4, 8)), good).shape == (3, 2, 8)
+    assert gad_cancel(sys_, np.zeros((4, 8)), good).shape == (3, 8)
+
+
+def test_gad_memory_is_a_few_frames_whatever_m():
+    # phase II holds a few (T, n) float64 arrays, not (L, m+1, n) stacks:
+    # at m = 30 those would be about 28 frames' worth
+    sys_, msgs, c, words = _frame("RC[2,1]^500", 30, 60, 0, 1)
+    y = transmit(bmst.bpsk_map(c), 0.8, np.random.default_rng(2))
+    tracemalloc.start()
+    try:
+        decode_frame_gad(sys_, y, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * sys_.total_blocks * sys_.n * 8

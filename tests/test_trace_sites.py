@@ -38,11 +38,14 @@ def test_trace_site_resolves(module, attr):
 
 def test_tpd_frame_calls_the_traced_gad_sites(monkeypatch):
     calls = {"gad_cancel": 0, "gad_minimize": 0}
+    correlations = []
     for name in calls:
         inner = getattr(bmst.tpd, name)
 
         def counted(*args, _inner=inner, _name=name):
             calls[_name] += 1
+            if _name == "gad_minimize":
+                correlations.append(args[1])
             return _inner(*args)
 
         monkeypatch.setattr(bmst.tpd, name, counted)
@@ -54,6 +57,10 @@ def test_tpd_frame_calls_the_traced_gad_sites(monkeypatch):
     # one call each per frame: perfbench's tpd.gad_*.us_per_layer metrics
     # divide by the calls, so they read microseconds per frame
     assert calls == {"gad_cancel": 1, "gad_minimize": 1}
+    # the spans split at the (L, n) correlations: the branch gathers run
+    # inside gad_cancel, and gad_minimize only takes the codebook argmax
+    [r] = correlations
+    assert r.shape == (sys_.L, sys_.n) and r.dtype == np.float64
 
 
 @pytest.mark.parametrize("decoder, site", [("swd", bmst.harness), ("tpd", bmst.tpd)])
