@@ -6,6 +6,11 @@ w_j = v[p[j]]. invs[i] is the inverse (v = w[invs[i]]). perms[0] is the
 identity. Permutations i = 1..m are drawn sequentially from
 numpy.random.default_rng(seed).permutation(n), whose underlying shuffle is
 Fisher-Yates; the same (seed, m, n) always regenerates the same set.
+
+Side information, the format of every genie and of the decoders, is an
+(L, m+1, n) uint8 array: entry [t, i] is layer t's own codeword bits as
+branch i carries them, in v^(t)'s bit order. superpose is the one place
+that permutes it onto the channel.
 """
 
 from dataclasses import dataclass, field
@@ -78,12 +83,14 @@ def make_system(code_spec_or_code, m, L, seed):
     return BmstSystem(basic=basic, interleavers=generate_interleavers(basic.n, m, seed), L=L)
 
 
-def superpose(words):
-    """Superposition along the coupling diagonal: (T, m+1, n) branch words
-    to (T, n) rows, row s = XOR_i words[s-i, i] over 0 <= s-i < T."""
-    x = words[:, 0].copy()
-    for i in range(1, words.shape[1]):
-        x[i:] ^= words[:-i, i]
+def superpose(sys, words):
+    """Superposition along the coupling diagonal: (L, m+1, n) side
+    information to (L+m, n) rows, row s = XOR_i words[s-i, i] permuted by
+    perms[i], over 0 <= s-i < L."""
+    L = len(words)
+    x = np.zeros((L + sys.m, sys.n), dtype=np.uint8)
+    for i, perm in enumerate(sys.interleavers.perms):
+        x[i:i + L] ^= np.take(words[:, i], perm, axis=1)
     return x
 
 
@@ -92,17 +99,14 @@ def encode_frame(sys, messages, return_intermediate=False):
 
     messages: (L, k) bits. Returns (L+m, n) transmitted bits
     c^(t) = XOR_i v^(t-i) permuted by perms[i]; with
-    return_intermediate=True also the (L+m, m+1, n) branch words of
-    true_branch_words, whose branch 0 is the intermediate codewords v."""
+    return_intermediate=True also the (L, n) intermediate codewords v."""
     messages = np.asarray(messages, dtype=np.uint8)
     if messages.shape != (sys.L, sys.k):
         raise CodeError(f"expected {(sys.L, sys.k)} message bits, got {messages.shape}")
-    v = np.zeros((sys.total_blocks, sys.n), dtype=np.uint8)
-    v[:sys.L] = encode_cartesian(sys.basic, messages)
-    words = true_branch_words(sys, v)
-    c = superpose(words)
+    v = encode_cartesian(sys.basic, messages)
+    c = superpose(sys, true_branch_words(sys, v))
     if return_intermediate:
-        return c, words
+        return c, v
     return c
 
 
@@ -112,6 +116,7 @@ def bpsk_map(c):
 
 
 def true_branch_words(sys, v):
-    """w^(t,i) = v^(t) permuted by perms[i], for all layers: (T, m+1, n)."""
-    perms = sys.interleavers.perms
-    return v[:, perms].astype(np.uint8, copy=False)  # fancy index broadcasts layer axis
+    """The perfect genie: (L, m+1, n) side information, every branch of
+    layer t its codeword v^(t). A read-only view of v, not a copy."""
+    v = np.asarray(v, dtype=np.uint8)
+    return np.broadcast_to(v[:, None], (len(v), sys.m + 1, sys.n))

@@ -24,8 +24,7 @@ import numpy as np
 from . import analysis
 from .channel import channel_llr, ebn0_to_sigma, transmit
 from .codes import compute_iowef, parse_code_spec
-from .coupling import bpsk_map, encode_frame, make_system
-from .coupling import true_branch_words  # noqa: F401  trace site harness.true_branch_words
+from .coupling import bpsk_map, encode_frame, make_system, true_branch_words
 from .swd import STOP_THRESHOLD, decode_frame_swd
 from .tpd import decode_frame_gad, decode_frame_tpd, flipped_side_info
 
@@ -33,7 +32,7 @@ from .tpd import decode_frame_gad, decode_frame_tpd, flipped_side_info
 # of run_sweep for some config and seed bumps it, so that a resume never
 # mixes rows of two versions; tests/test_harness.py pins it to a digest
 # of seeded sweeps.
-RESULTS_VERSION = 3
+RESULTS_VERSION = 4
 
 # the decoder parameters of SimConfig that each decoder reads; the results
 # identity leaves out those that cfg.decoder does not
@@ -200,32 +199,28 @@ def simulate_frame(cfg, ebn0_db, point_idx, frame_idx):
     sigma = ebn0_to_sigma(ebn0_db, sys.basic.rate)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(point_idx, frame_idx)))
     msgs = rng.integers(0, 2, size=(sys.L, sys.k), dtype=np.uint8)
-    c, words = encode_frame(sys, msgs, return_intermediate=True)
+    c, v = encode_frame(sys, msgs, return_intermediate=True)
     y = transmit(bpsk_map(c), sigma, rng)
 
     out = FrameCounts(bits=sys.L * sys.k)
     if cfg.decoder == "swd":
-        del words  # unused; freed before the decoder's far larger messages
         res = decode_frame_swd(sys, channel_llr(y, sigma), cfg.delay, cfg.i_max,
                                cfg.stop_threshold)
         u_hat = res.u_hat
         out.iters = int(res.iterations.sum())
         out.layers = sys.L
     elif cfg.decoder == "tpd":
-        v = words[:sys.L, 0].copy()  # branch i of layer t is v[t, perms[i]]
-        del words  # only v is held through phase I
         u_hat, phase1 = decode_frame_tpd(sys, y, sigma, cfg.delay, cfg.i_max,
                                          cfg.stop_threshold)
-        w_tilde = phase1.w_tilde[:sys.L]  # the tail's zeros are known, not decided
-        out.p1_bits = w_tilde.size
-        out.p1_errors = sum(int(np.sum(w_tilde[:, i] != v[:, perm]))
-                            for i, perm in enumerate(sys.interleavers.perms))
+        out.p1_bits = phase1.w_tilde.size
+        out.p1_errors = int(np.count_nonzero(phase1.w_tilde != v[:, None]))
         out.iters = int(phase1.iterations.sum())
         out.layers = sys.L
     elif cfg.decoder == "gad_perfect":
-        u_hat = decode_frame_gad(sys, y, words)
+        u_hat = decode_frame_gad(sys, y, true_branch_words(sys, v))
     else:  # gad_flipped
-        u_hat = decode_frame_gad(sys, y, flipped_side_info(words, cfg.p_genie, rng))
+        genie = flipped_side_info(true_branch_words(sys, v), cfg.p_genie, rng)
+        u_hat = decode_frame_gad(sys, y, genie)
     out.errors = int(np.sum(u_hat != msgs))
     if cfg.decoder == "tpd":
         out.p2_errors = out.errors

@@ -65,10 +65,10 @@ overwritten, and each line below says why the others are dead:
                     forward eq(t) rewrites it before the backward plus(t).
 
 The emitted layer's branch decisions w_tilde are the signs of the messages
-its replication node sends from the final state, computed as LLRs: the
-phi domain maps a zero and a subnormal message alike to an infinity.
-decode_frame_swd returns them as bmst.tpd side information, whose m tail
-layers are the known zero words: phase II's genie as it is.
+its replication node sends from the final state, in its own bit order and
+computed as LLRs: the phi domain maps a zero and a subnormal message alike
+to an infinity. decode_frame_swd stacks them into coupling's (L, m+1, n)
+side information: phase II's genie as it is.
 """
 
 from dataclasses import dataclass
@@ -105,7 +105,7 @@ def hard_decision(llr):
 @dataclass
 class SwdResult:
     u_hat: np.ndarray      # (L, k) message decisions
-    w_tilde: np.ndarray    # (T, m+1, n) hard extrinsic branch decisions
+    w_tilde: np.ndarray    # (L, m+1, n) hard extrinsic branch decisions
     iterations: np.ndarray  # (L,) iterations used per emitted layer
 
 
@@ -139,7 +139,6 @@ class WindowDecoder:
         il = sys.interleavers
         self._p2e_at = il.invs + (m + 2) * n * branches
         self._e2p_at = il.invs + (m + 3) * n * branches + n
-        self._perm_flat = il.perms + n * branches
 
     # -- node updates -------------------------------------------------------
 
@@ -211,7 +210,7 @@ class WindowDecoder:
         v_hat = hard_decision(app)
         # extrinsic branch messages of layer te, as its replication node
         # would send them from this state
-        w_tilde = hard_decision(((ext + s_in) - a).reshape(-1)[self._perm_flat])
+        w_tilde = hard_decision((ext + s_in) - a)
         # decision feedback: pin the emitted layer for later windows
         self._from(self.e2p, te)[self._e2p_at] = np.where(v_hat, -self._phi_max, self._phi_max)
         return u_hat, v_hat, w_tilde, iters
@@ -227,7 +226,7 @@ def decode_frame_swd(sys, llrs, d, i_max, stop_threshold=STOP_THRESHOLD):
     dec = WindowDecoder(sys, llrs, d, i_max, stop_threshold)
     L = sys.L
     u_hat = np.empty((L, sys.k), dtype=np.uint8)
-    w_tilde = np.zeros((sys.total_blocks, sys.m + 1, sys.n), dtype=np.uint8)
+    w_tilde = np.empty((L, sys.m + 1, sys.n), dtype=np.uint8)
     iters = np.empty(L, dtype=np.int64)
     for te in range(L):
         u_hat[te], _, w_tilde[te], iters[te] = dec.decode_step(te)

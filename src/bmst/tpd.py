@@ -1,14 +1,14 @@
 """Genie-aided decoding and the two-phase decoder.
 
 The genie-aided decoder (GAD) recovers each layer by cancelling every other
-layer's contribution from the m+1 received sub-blocks it touches, using
-side-information branch words, then picking the short codeword that
-minimizes the combined Euclidean metric (a correlation maximization, B
-independent searches of at most 2^K codewords each). It works on the whole
-frame at once. The interference on y^(t+i) outside layer t is x[t+i] XOR
-w^(t,i), x the superposition of the side-information words. As a sign,
-s(b) = 1 - 2b, that is s(x[t+i]) s(w^(t,i)): the frame is stripped of x
-once, and each branch adds its gathered rows into one (L, n) correlation.
+layer's contribution from the m+1 received sub-blocks it touches, using side
+information, then picking the short codeword that minimizes the combined
+Euclidean metric (a correlation maximization, B independent searches of at
+most 2^K codewords each). It works on the whole frame at once. The
+interference on y^(t+i) outside layer t is x[t+i] XOR (its branch i), x the
+superposition of the side information; as a sign, s(b) = 1 - 2b, a product.
+So the frame is stripped of x once, and each branch's rows, gathered into
+layer t's bit order and times s(words[t, i]), add into one (L, n) correlation.
 
 The two-phase decoder (TPD) runs the sliding-window decoder as phase I,
 takes the hard extrinsic branch decisions as a noisy genie, and re-decodes
@@ -26,37 +26,37 @@ class SideInfoError(ValueError):
     pass
 
 
-# Side information is a (T, m+1, n) array of branch words w^(t,i), as
-# reported by a (possibly noisy) genie for every layer, tail layers
-# included. A layer's own branch words are never consulted when it is
-# decoded. The true words, the perfect genie, are what
-# coupling.encode_frame returns with return_intermediate=True; phase I
-# emits this format too (swd.SwdResult.w_tilde, tail layers zero).
+# Side information is coupling's (L, m+1, n) format, as reported by a
+# (possibly noisy) genie; a layer's own entries are never consulted when it
+# is decoded. The perfect genie is coupling.true_branch_words; phase I emits
+# the format too (swd.SwdResult.w_tilde).
 
 def flipped_side_info(words, p_genie, rng):
-    """The branch words with each bit independently flipped with prob p_genie."""
+    """Side information with each bit independently flipped with prob p_genie."""
     return words ^ (rng.random(words.shape) < p_genie).astype(np.uint8)
 
 
 def gad_cancel(sys, y, words):
     """Per-v-bit correlations (L, n) of every data layer, with all other
     layers' contributions stripped. y: (T, n) received frame; words:
-    (T, m+1, n) side information. Row t sums, in branch order, y^(t+i) times
-    s(x[t+i]) s(w^(t,i)), gathered back through interleaver i."""
+    (L, m+1, n) side information. Row t sums, in branch order, y^(t+i) times
+    s(x[t+i]) gathered back through interleaver i, times s(words[t, i])."""
     m, n, L, T = sys.m, sys.n, sys.L, sys.total_blocks
     y = np.asarray(y, dtype=np.float64)
     words = np.asarray(words, dtype=np.uint8)
     if y.shape != (T, n):
         raise SideInfoError(f"received frame shape {y.shape} != {(T, n)}")
-    if words.shape != (T, m + 1, n):
-        raise SideInfoError(f"side info shape {words.shape} != {(T, m + 1, n)}")
+    if words.shape != (L, m + 1, n):
+        raise SideInfoError(f"side info shape {words.shape} != {(L, m + 1, n)}")
     # times +-1 is an exact sign flip; int8, since 1 - 2 * uint8 wraps
-    stripped = y * (1 - 2 * superpose(words).view(np.int8))
+    stripped = y * (1 - 2 * superpose(sys, words).view(np.int8))
     r = np.zeros((L, n))
     flipped = np.empty((L, n))  # reused: a fresh (L, n) per branch churns the heap
     for i, inv in enumerate(sys.interleavers.invs):
-        np.multiply(stripped[i:i + L], 1 - 2 * words[:L, i].view(np.int8), out=flipped)
-        r += np.take(flipped, inv, axis=1)
+        # inv is in range; "clip" writes into flipped without a buffer
+        np.take(stripped[i:i + L], inv, axis=1, out=flipped, mode="clip")
+        flipped *= 1 - 2 * words[:, i].view(np.int8)
+        r += flipped
     return r
 
 

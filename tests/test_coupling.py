@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,9 +41,9 @@ def _identity_system(m, L):
 
 def test_encode_frame_superposes_history():
     sys_ = _identity_system(m=1, L=2)
-    c, words = encode_frame(sys_, [[1, 0, 1, 0], [0, 1, 1, 0]], return_intermediate=True)
+    c, v = encode_frame(sys_, [[1, 0, 1, 0], [0, 1, 1, 0]], return_intermediate=True)
     assert c[0].tolist() == [1, 0, 1, 0]  # nothing in the history yet
-    assert words[1, 0].tolist() == [0, 1, 1, 0]
+    assert v[1].tolist() == [0, 1, 1, 0]
     assert c[1].tolist() == [1, 1, 0, 0]  # v1 xor v0
     assert c[2].tolist() == [0, 1, 1, 0]  # termination block: v1 alone
 
@@ -55,33 +57,49 @@ def test_termination_blocks_must_be_zero():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_superpose_matches_direct_loop(T, m, n, seed):
-    words = np.random.default_rng(seed).integers(0, 2, (T, m + 1, n), dtype=np.uint8)
-    ref = np.zeros((T, n), dtype=np.uint8)
-    for s in range(T):
+@given(st.integers(1, 6), st.integers(0, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_superpose_matches_direct_loop(L, m, B, seed):
+    sys_ = make_system(f"RC[2,1]^{B}", m=m, L=L, seed=seed)
+    words = np.random.default_rng(seed).integers(0, 2, (L, m + 1, sys_.n), dtype=np.uint8)
+    perms = sys_.interleavers.perms
+    ref = np.zeros((L + m, sys_.n), dtype=np.uint8)
+    for s in range(L + m):
         for i in range(m + 1):
-            if 0 <= s - i < T:
-                ref[s] ^= words[s - i, i]
-    assert np.array_equal(superpose(words), ref)
+            if 0 <= s - i < L:
+                ref[s] ^= words[s - i, i][perms[i]]
+    assert np.array_equal(superpose(sys_, words), ref)
+
+
+def test_superpose_permutes_each_branch_onto_its_row():
+    # bit k of layer t on branch i, in v^(t)'s bit order, lands on row t+i
+    # at the position that interleaver i moves bit k to
+    sys_ = make_system("SPC[4,3]^3", m=3, L=4, seed=2)
+    invs = sys_.interleavers.invs
+    for t, i, k in [(0, 0, 5), (1, 2, 0), (3, 3, 11), (2, 1, 7)]:
+        words = np.zeros((sys_.L, sys_.m + 1, sys_.n), dtype=np.uint8)
+        words[t, i, k] = 1
+        x = superpose(sys_, words)
+        assert x.shape == (sys_.total_blocks, sys_.n) and x.dtype == np.uint8
+        assert np.argwhere(x).tolist() == [[t + i, invs[i, k]]]
 
 
 def test_frame_shape_and_tail():
     sys_ = make_system("RC[2,1]^10", m=3, L=5, seed=0)
     msgs = np.random.default_rng(0).integers(0, 2, (5, sys_.k), dtype=np.uint8)
-    c, words = encode_frame(sys_, msgs, return_intermediate=True)
-    assert c.shape == (8, 20) and words.shape == (8, 4, 20)
-    assert not words[5:].any()  # termination layers carry zero codewords
+    c, v = encode_frame(sys_, msgs, return_intermediate=True)
+    assert c.shape == (8, 20) and v.shape == (5, 20)  # v has no termination layers
+    assert np.array_equal(v, encode_cartesian(sys_.basic, msgs))
+    assert np.array_equal(c, superpose(sys_, true_branch_words(sys_, v)))
 
 
 def test_frame_matches_direct_superposition():
     sys_ = make_system("SPC[4,3]^6", m=2, L=4, seed=3)
     rng = np.random.default_rng(1)
     msgs = rng.integers(0, 2, (4, sys_.k), dtype=np.uint8)
-    c, words = encode_frame(sys_, msgs, return_intermediate=True)
+    c, v_out = encode_frame(sys_, msgs, return_intermediate=True)
     v = np.zeros((sys_.total_blocks, sys_.n), dtype=np.uint8)
     v[:4] = encode_cartesian(sys_.basic, msgs)
-    assert np.array_equal(words[:, 0], v)  # perms[0] is the identity
+    assert np.array_equal(v_out, v[:4])
     perms = sys_.interleavers.perms
     for t in range(sys_.total_blocks):
         ref = np.zeros(sys_.n, dtype=np.uint8)
@@ -105,12 +123,28 @@ def test_frame_encoding_linear(seed):
 def test_true_branch_words_convention():
     sys_ = make_system("RC[2,1]^5", m=2, L=3, seed=4)
     msgs = np.random.default_rng(2).integers(0, 2, (3, sys_.k), dtype=np.uint8)
-    _, words = encode_frame(sys_, msgs, return_intermediate=True)
-    v = words[:, 0]
-    assert np.array_equal(true_branch_words(sys_, v), words)
-    for t in range(v.shape[0]):
+    _, v = encode_frame(sys_, msgs, return_intermediate=True)
+    words = true_branch_words(sys_, v)
+    assert words.shape == (sys_.L, sys_.m + 1, sys_.n)
+    for t in range(sys_.L):
         for i in range(sys_.m + 1):
-            assert np.array_equal(words[t, i], v[t][sys_.interleavers.perms[i]])
+            assert np.array_equal(words[t, i], v[t])  # in v^(t)'s own bit order
+    # the perfect genie is a read-only view of v, not a copy
+    assert np.shares_memory(words, v) and not words.flags.writeable
+
+
+def test_encode_memory_is_a_few_bytes_per_frame_bit_whatever_m():
+    # the encoder holds the frame and a layer-sized temporary, not the
+    # (L, m+1, n) branch words: at m = 30 those would be 31 bytes a bit
+    sys_ = make_system("RC[2,1]^500", m=30, L=60, seed=0)
+    msgs = np.random.default_rng(1).integers(0, 2, (sys_.L, sys_.k), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        encode_frame(sys_, msgs, return_intermediate=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * sys_.total_blocks * sys_.n
 
 
 def test_frame_rate():

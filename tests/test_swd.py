@@ -10,6 +10,7 @@ import bmst
 from bmst import kernels
 from bmst.channel import channel_llr, ebn0_to_sigma, transmit
 from bmst.codes import CartesianCode, code_extrinsic_llr, make_code
+from bmst.coupling import true_branch_words
 from bmst.kernels import (LLR_MAX, boxplus_numpy, boxplus_scalar, clamp,
                           leave_one_out_boxplus, llr_to_phi, phi)
 from bmst.swd import (WindowDecoder, binary_entropy_from_llr,
@@ -327,8 +328,9 @@ def test_noiseless_decode_recovers_messages():
     msgs = rng.integers(0, 2, (6, sys_.k), dtype=np.uint8)
     res = decode_frame_swd(sys_, _noiseless_llrs(sys_, msgs), d=6, i_max=18)
     assert np.array_equal(res.u_hat, msgs)
-    _, words = bmst.encode_frame(sys_, msgs, return_intermediate=True)
-    assert np.array_equal(res.w_tilde, words)  # the zero tail included
+    _, v = bmst.encode_frame(sys_, msgs, return_intermediate=True)
+    assert res.w_tilde.shape == (sys_.L, sys_.m + 1, sys_.n)
+    assert np.array_equal(res.w_tilde, true_branch_words(sys_, v))
     assert res.iterations.max() <= 2  # entropy stop fires immediately
 
 
@@ -438,7 +440,8 @@ class FullScheduleDecoder:
         _, s_in, ext = self.gather(te)
         app = clamp(s_in + ext)
         v_hat = hard_decision(app)
-        w_tilde = hard_decision(self.e2p[te])
+        # branch i of e2p[te] is in plus node te+i's bit order: back to te's
+        w_tilde = hard_decision(self.e2p[te].reshape(-1)[self.inv])
         self.e2p[te] = (LLR_MAX * (1.0 - 2.0 * v_hat))[self.sys.interleavers.perms]
         return hard_decision(self.msg_llr(app)), v_hat, w_tilde, iters
 

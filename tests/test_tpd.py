@@ -5,6 +5,7 @@ import pytest
 
 import bmst
 from bmst.channel import channel_llr, ebn0_to_sigma, transmit
+from bmst.coupling import true_branch_words
 from bmst.swd import decode_frame_swd
 from bmst.tpd import (SideInfoError, decode_frame_gad, decode_frame_tpd,
                       flipped_side_info, gad_cancel, gad_minimize)
@@ -14,22 +15,24 @@ def _frame(spec, m, L, seed, msg_seed):
     sys_ = bmst.make_system(spec, m, L, seed)
     rng = np.random.default_rng(msg_seed)
     msgs = rng.integers(0, 2, (L, sys_.k), dtype=np.uint8)
-    c, words = bmst.encode_frame(sys_, msgs, return_intermediate=True)
-    return sys_, msgs, c, words
+    c, v = bmst.encode_frame(sys_, msgs, return_intermediate=True)
+    return sys_, msgs, c, true_branch_words(sys_, v)
 
 
 def oracle_cancel(sys_, y, words, t):
     """Cleaned rows y^(t..t+m) of layer t, as a direct loop over the
-    (m+1)^2 branch words around it: row i is sign-flipped wherever the XOR
-    of every other layer's branch word on c^(t+i) is 1."""
-    m, n, T = sys_.m, sys_.n, sys_.total_blocks
+    (m+1)^2 side-information words around it: row i is sign-flipped wherever
+    the XOR of every other data layer's word on c^(t+i), permuted as its
+    branch carries it, is 1."""
+    m, n, L = sys_.m, sys_.n, sys_.L
+    perms = sys_.interleavers.perms
     cleaned = np.empty((m + 1, n))
     for i in range(m + 1):
         c_hat = np.zeros(n, dtype=np.uint8)
         for ell in range(m + 1):
             tp = t + i - ell
-            if ell != i and 0 <= tp < T:
-                c_hat ^= words[tp, ell]
+            if ell != i and 0 <= tp < L:
+                c_hat ^= words[tp, ell][perms[ell]]
         cleaned[i] = np.where(c_hat == 1, -y[t + i], y[t + i])
     return cleaned
 
@@ -68,7 +71,7 @@ def test_gad_cancel_strips_interference_exactly():
     y = bmst.bpsk_map(c)
     r = gad_cancel(sys_, y, w)
     assert r.shape == (sys_.L, sys_.n) and r.dtype == np.float64
-    assert np.array_equal(r, (sys_.m + 1) * bmst.bpsk_map(w[:sys_.L, 0]))
+    assert np.array_equal(r, (sys_.m + 1) * bmst.bpsk_map(w[:, 0]))
 
 
 def test_gad_ignores_own_layer_side_info():
@@ -101,19 +104,6 @@ def test_gad_minimize_repetition_is_a_sign_test():
     for t in range(sys_.L):
         block_sums = r[t].reshape(-1, 2).sum(axis=1)
         assert np.array_equal(u_hat[t], (block_sums < 0).astype(np.uint8))
-
-
-def test_phase_one_side_info_has_zero_tail():
-    # phase I decides no tail layer, though the tail's channel values are
-    # as noisy as the data layers'
-    sys_, msgs, c, words = _frame("RC[2,1]^50", 3, 6, 0, 3)
-    sigma = ebn0_to_sigma(0.0, sys_.basic.rate)
-    y = transmit(bmst.bpsk_map(c), sigma, np.random.default_rng(2))
-    _, phase1 = decode_frame_tpd(sys_, y, sigma, d=6, i_max=4)
-    w_tilde = phase1.w_tilde
-    assert w_tilde.shape == words.shape == (sys_.total_blocks, sys_.m + 1, sys_.n)
-    assert (w_tilde[:sys_.L] != words[:sys_.L]).any()  # phase I made errors
-    assert not w_tilde[sys_.L:].any()
 
 
 def _side_info(source, sys_, words, y, sigma, rng):
@@ -150,6 +140,7 @@ def test_tpd_noiseless_matches_messages_both_phases():
     u_hat, phase1 = decode_frame_tpd(sys_, y, 0.3, d=6, i_max=10)
     assert np.array_equal(u_hat, msgs)
     assert np.array_equal(phase1.u_hat, msgs)
+    assert phase1.w_tilde.shape == (sys_.L, sys_.m + 1, sys_.n)
     assert np.array_equal(phase1.w_tilde, words)
 
 
@@ -167,10 +158,19 @@ def test_side_info_shape_validation():
     sys_ = bmst.make_system("RC[2,1]^4", 1, 3, 0)
     with pytest.raises(SideInfoError):
         gad_cancel(sys_, np.zeros((4, 8)), np.zeros((2, 2, 8), dtype=np.uint8))
-    good = np.zeros((4, 2, 8), dtype=np.uint8)
+    good = np.zeros((3, 2, 8), dtype=np.uint8)
     with pytest.raises(SideInfoError):
         gad_cancel(sys_, np.zeros((3, 8)), good)
     assert gad_cancel(sys_, np.zeros((4, 8)), good).shape == (3, 8)
+
+
+def test_gad_refuses_side_info_with_tail_layers():
+    # side information covers the L data layers only: the tail's zero
+    # words are known to every decoder, not reported by a genie
+    sys_ = bmst.make_system("RC[2,1]^4", 2, 3, 0)
+    tailed = np.zeros((sys_.total_blocks, sys_.m + 1, sys_.n), dtype=np.uint8)
+    with pytest.raises(SideInfoError):
+        gad_cancel(sys_, np.zeros((sys_.total_blocks, sys_.n)), tailed)
 
 
 def test_gad_memory_is_a_few_frames_whatever_m():
