@@ -10,13 +10,16 @@ from .kernels import LLR_MAX
 
 
 def ebn0_to_sigma(ebn0_db, rate):
+    """Noise std dev per dimension at Eb/N0 = ebn0_db dB and code rate
+    `rate`. +inf dB is the noiseless channel, sigma = 0; NaN, -inf and
+    values so low that 10^(Eb/N0 / 10) underflows have no sigma."""
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    return float(np.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))))
-
-
-def sigma_to_ebn0(sigma, rate):
-    return float(10.0 * np.log10(1.0 / (2.0 * sigma ** 2 * rate)))
+    snr = 2.0 * rate * 10.0 ** (ebn0_db / 10.0)
+    if not snr > 0.0:
+        raise ValueError(f"Eb/N0 must be a number above -inf dB with a finite noise level, "
+                         f"got {ebn0_db} dB")
+    return float(np.sqrt(1.0 / snr))
 
 
 def transmit(x, sigma, rng):

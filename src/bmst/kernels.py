@@ -19,11 +19,46 @@ the blockwise extrinsics) compute in the dtype they are given, float32 or
 float64; any other input is taken as float64. The window decoder's messages
 are float32 (channel.channel_llr sets that); the exact-oracle tests run the
 same kernels in float64.
+
+At the window decoder's sizes a numpy call costs about as much as the
+arithmetic it does, so the message-path kernels keep their calls few and
+give the same bits as one add at a time:
+- leave_one_out_boxplus and llr_to_phi take `out=`, an array of the result's
+  shape and dtype, and write their result there: a plus node fills its
+  messages in place, and a replication node converts its messages in place
+  (llr_to_phi(x, out=x) is allowed).
+- For one output row, which every forward plus node asks for, each of the
+  two chains is one np.add.reduce over its rows in chain order. numpy adds
+  the rows one after another there, as the prefix and suffix loops do.
+- LLR_MAX, 2 and the sign-bit word are numpy scalars of the message dtype,
+  built once per dtype, not Python floats converted at every call.
+tests/test_swd.py keeps the loop kernel as the reference and checks every
+row range against it word for word.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 LLR_MAX = 40.0
+
+
+class _Typed(NamedTuple):
+    """The constants of the message path as numpy scalars of one float
+    dtype, built once: a Python float would be converted at every call."""
+    llr_max: np.floating
+    neg_llr_max: np.floating
+    two: np.floating
+    word: np.dtype                 # unsigned integer of the float's width
+    sign_bit: np.unsignedinteger   # the word with only the sign bit set
+
+
+def _typed(t):
+    word = np.dtype(f"u{np.dtype(t).itemsize}")
+    return _Typed(t(LLR_MAX), t(-LLR_MAX), t(2), word, word.type(1 << (8 * word.itemsize - 1)))
+
+
+_TYPED = {np.dtype(t): _typed(t) for t in (np.float32, np.float64)}
 
 # Kept for the benchmark's run record; there is no compiled kernel path.
 NUMBA_ENABLED = False
@@ -66,46 +101,54 @@ def phi(x):
 def _phi_inplace(x):
     # callers silence the divide and overflow warnings of phi(0) and phi(tiny)
     np.expm1(x, out=x)
-    np.divide(2.0, x, out=x)
+    np.divide(_TYPED[x.dtype].two, x, out=x)
     return np.log1p(x, out=x)
 
 
 def clamp(x):
-    """Clamp an LLR array to +-LLR_MAX in place; returns it."""
-    np.minimum(x, LLR_MAX, out=x)
-    np.maximum(x, -LLR_MAX, out=x)
+    """Clamp a float32 or float64 LLR array to +-LLR_MAX in place; returns
+    it."""
+    typed = _TYPED[x.dtype]
+    np.minimum(x, typed.llr_max, out=x)
+    np.maximum(x, typed.neg_llr_max, out=x)
     return x
-
-
-def _bits(x):
-    """The float array x seen as unsigned words of its width, and the word
-    that holds only the sign bit."""
-    words = x.view(f"u{x.itemsize}")
-    return words, words.dtype.type(1 << (8 * x.itemsize - 1))
 
 
 def _or_sign(x, sign):
     """Set the sign bits `sign` (words of x's width, sign bit only) on
     x >= 0 in place; returns x. Cheaper than np.copysign over several rows."""
-    np.bitwise_or(x.view(sign.dtype), sign, out=x.view(sign.dtype))
+    words = x.view(sign.dtype)
+    np.bitwise_or(words, sign, out=words)
     return x
 
 
-def llr_to_phi(llr):
+def llr_to_phi(llr, out=None):
     """The phi domain the leave-one-out kernel takes: phi(|llr|) carrying
-    the sign bit of llr, in a new array. A zero LLR maps to +-inf."""
+    the sign bit of llr, written to `out` (an array of llr's shape and dtype,
+    which may be llr itself) or to a new array. A zero LLR maps to +-inf."""
     llr = float_array(llr)
-    words, sign_bit = _bits(llr)
-    sign = words & sign_bit
+    typed = _TYPED[llr.dtype]
+    sign = np.bitwise_and(llr.view(typed.word), typed.sign_bit)
+    out = np.abs(llr, out=out)
     with np.errstate(divide="ignore", over="ignore"):
-        out = _phi_inplace(np.abs(llr))
+        _phi_inplace(out)
     return _or_sign(out, sign)
 
 
-def leave_one_out_boxplus(stack, lo=0, hi=None):
+def _chain(rows):
+    """The sum of the rows of a C-ordered (k, n) magnitude array, n > 1, added
+    one row after another in the order given: zero for k = 0 (0 + x is x,
+    as in the prefix and suffix loops). numpy's reduction adds row by row
+    here; it would sum pairwise along its inner axis, which C order and
+    n > 1 rule out."""
+    return rows[0] if len(rows) == 1 else np.add.reduce(rows, axis=0)
+
+
+def leave_one_out_boxplus(stack, lo=0, hi=None, out=None):
     """For an (M, n) stack in the phi domain (see llr_to_phi), row i of the
     leave-one-out boxplus is the boxplus of all rows except i, as an LLR
-    clamped to +-LLR_MAX. Returns rows lo..hi-1 of it, default all.
+    clamped to +-LLR_MAX. Returns rows lo..hi-1 of it, default all, written
+    to `out` (an (hi-lo, n) array of the stack's dtype) or to a new array.
 
     The phi sum over the other rows is an exclusive prefix sum plus an
     exclusive suffix sum. Subtracting a row's own term from the total
@@ -113,25 +156,33 @@ def leave_one_out_boxplus(stack, lo=0, hi=None):
     The prefix chain stops at row hi-1 and the suffix chain at row lo;
     every term is added in the same order whatever rows are asked for."""
     stack = float_array(stack)
-    rows = len(stack)
+    typed = _TYPED[stack.dtype]
+    rows, n = stack.shape
     hi = rows if hi is None else hi
-    mag = np.abs(stack)
-    pre = np.empty((hi, stack.shape[1]), dtype=stack.dtype)
-    # suf[j] belongs to row lo+j
-    suf = np.empty((rows - lo, stack.shape[1]), dtype=stack.dtype)
-    pre[0] = 0.0
-    suf[-1] = 0.0
-    for i in range(1, hi):
-        np.add(pre[i - 1], mag[i - 1], out=pre[i])
-    for i in range(rows - 2, lo - 1, -1):
-        np.add(suf[i - lo + 1], mag[i + 1], out=suf[i - lo])
+    if out is None:
+        out = np.empty((hi - lo, n), dtype=stack.dtype)
+    mag = np.abs(stack, order="C")
+    if hi - lo == 1 and n > 1:
+        # one row, as at every forward plus node: each chain is one reduction
+        np.add(_chain(mag[:lo]), _chain(mag[:lo:-1]), out=out[0])
+    else:
+        pre = np.empty((hi, n), dtype=stack.dtype)
+        # suf[j] belongs to row lo+j
+        suf = np.empty((rows - lo, n), dtype=stack.dtype)
+        pre[0] = 0.0
+        suf[-1] = 0.0
+        for i in range(1, hi):
+            np.add(pre[i - 1], mag[i - 1], out=pre[i])
+        for i in range(rows - 2, lo - 1, -1):
+            np.add(suf[i - lo + 1], mag[i + 1], out=suf[i - lo])
+        np.add(pre[lo:], suf[:hi - lo], out=out)
     with np.errstate(divide="ignore", over="ignore"):
-        out = _phi_inplace(np.add(pre[lo:], suf[:hi - lo], out=pre[lo:]))
-    np.minimum(out, LLR_MAX, out=out)
+        _phi_inplace(out)
+    np.minimum(out, typed.llr_max, out=out)
     # row i is negative where its sign differs from the parity of all signs
-    words, sign_bit = _bits(stack)
+    words = stack.view(typed.word)
     sign = np.bitwise_xor(words[lo:hi], np.bitwise_xor.reduce(words, axis=0))
-    return _or_sign(out, np.bitwise_and(sign, sign_bit, out=sign))
+    return _or_sign(out, np.bitwise_and(sign, typed.sign_bit, out=sign))
 
 
 def blockwise_loo_sum(llr, block):
@@ -144,13 +195,17 @@ def blockwise_loo_sum(llr, block):
     x = llr.reshape(-1, block)
     if block < 8:
         # the same left-to-right sum as x.sum(axis=1), which adds fewer
-        # than 8 terms in order but runs its reduction loop once per block
-        total = x[:, :1].copy()
+        # than 8 terms in order but runs its reduction loop once per block;
+        # whole columns add and subtract in one loop each
+        total = x[:, 0]
         for j in range(1, block):
-            total += x[:, j:j + 1]
+            total = total + x[:, j]
+        ext = np.empty(x.shape, dtype=x.dtype)
+        for j in range(block):
+            np.subtract(total, x[:, j], out=ext[:, j])
     else:
-        total = x.sum(axis=1, keepdims=True)
-    return clamp(total - x).reshape(llr.shape)
+        ext = x.sum(axis=1, keepdims=True) - x
+    return clamp(ext).reshape(llr.shape)
 
 
 def blockwise_loo_boxplus(llr, block):

@@ -146,7 +146,7 @@ class WindowDecoder:
         """Superposition node of layer s; writes its messages to the
         replication nodes of layers s-i, first <= i <= last."""
         if first <= last:
-            self.p2e[s, first:last + 1] = leave_one_out_boxplus(self.e2p[s], first + 1, last + 2)
+            leave_one_out_boxplus(self.e2p[s], first + 1, last + 2, out=self.p2e[s, first:last + 1])
 
     @staticmethod
     def _from(a, t):
@@ -168,7 +168,7 @@ class WindowDecoder:
             return
         a, s_in, ext = inputs
         msg = clamp((ext + s_in) - a[first:count])
-        self._from(self.e2p, t)[self._e2p_at[first:count]] = llr_to_phi(msg)
+        self._from(self.e2p, t)[self._e2p_at[first:count]] = llr_to_phi(msg, out=msg)
 
     # -- window schedule ----------------------------------------------------
 

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from bmst.channel import channel_llr, ebn0_to_sigma, sigma_to_ebn0, transmit
+from bmst.channel import channel_llr, ebn0_to_sigma, transmit
 from bmst.kernels import LLR_MAX
+
+
+def sigma_to_ebn0(sigma, rate):
+    """Eb/N0 in dB of the noise std dev sigma at code rate `rate`: the
+    inverse of ebn0_to_sigma."""
+    return float(10.0 * np.log10(1.0 / (2.0 * sigma ** 2 * rate)))
 
 
 def test_sigma_at_zero_db_rate_half():
@@ -19,6 +25,16 @@ def test_sigma_ebn0_roundtrip():
     for g in (-2.0, 0.0, 4.7, 12.0):
         for r in (0.125, 0.5, 0.875):
             assert sigma_to_ebn0(ebn0_to_sigma(g, r), r) == pytest.approx(g)
+
+
+def test_infinite_ebn0_is_the_noiseless_channel():
+    assert ebn0_to_sigma(float("inf"), 0.5) == 0.0
+
+
+@pytest.mark.parametrize("ebn0", [float("nan"), float("-inf"), -4000.0])
+def test_ebn0_without_a_noise_level_is_refused(ebn0):
+    with pytest.raises(ValueError, match="Eb/N0"):
+        ebn0_to_sigma(ebn0, 0.5)
 
 
 def test_rate_validation():

@@ -257,6 +257,14 @@ def test_predict_p1_zero_is_the_lower_bound(capsys):
     assert pred == lb == "3.697e-17"
 
 
+@pytest.mark.parametrize("ebn0", ["nan", "-inf"])
+def test_predict_rejects_ebn0_without_a_noise_level(capsys, ebn0):
+    assert main(["predict", "--spec", "RC[2,1]^5000", "--m", "30",
+                 "--p1", "1e-3", f"--ebn0={ebn0}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Eb/N0 must be") and "Traceback" not in err
+
+
 def test_predict_rejects_bad_p1():
     assert main(["predict", "--spec", "RC[2,1]^5000", "--m", "30",
                  "--p1", "0.7", "--ebn0", "0.5"]) == 1

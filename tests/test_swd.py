@@ -43,10 +43,34 @@ class PairwiseOracle:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, stack, lo=0, hi=None):
+    def __call__(self, stack, lo=0, hi=None, out=None):
         self.calls += 1
         llr = np.copysign(phi(np.abs(stack)), stack)
-        return pairwise_loo_boxplus(llr)[lo:hi]
+        rows = pairwise_loo_boxplus(llr)[lo:hi]
+        if out is None:
+            return rows
+        out[...] = rows
+        return out
+
+
+def loop_loo_boxplus(stack, lo=0, hi=None):
+    """leave_one_out_boxplus as exclusive prefix and suffix loops, one row
+    added at a time, with the sign from np.signbit: the reference that the
+    kernel's reductions and bit operations must match bit for bit."""
+    stack = kernels.float_array(stack)
+    rows, n = stack.shape
+    hi = rows if hi is None else hi
+    mag = np.abs(stack)
+    pre = np.zeros((hi, n), dtype=stack.dtype)
+    suf = np.zeros((rows - lo, n), dtype=stack.dtype)  # suf[j] is row lo+j
+    for i in range(1, hi):
+        pre[i] = pre[i - 1] + mag[i - 1]
+    for i in range(rows - 2, lo - 1, -1):
+        suf[i - lo] = suf[i - lo + 1] + mag[i + 1]
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.minimum(np.log1p(2 / np.expm1(pre[lo:] + suf[:hi - lo])), LLR_MAX)
+    neg = np.signbit(stack)
+    return np.where(neg[lo:hi] ^ np.logical_xor.reduce(neg, axis=0), -out, out)
 
 
 def xor_extrinsic_oracle(llrs):
@@ -125,7 +149,48 @@ def test_phi_matches_mpmath():
     assert np.array_equal(llr_to_phi(llr).view(np.uint64), ref.view(np.uint64))
 
 
-@pytest.mark.parametrize("block", range(2, 10))
+def _edge_llrs(rng, rows, n, dtype, edges):
+    """LLRs of all scales, `edges` of them +-0, +-LLR_MAX, subnormals or
+    beyond LLR_MAX (whose phi is subnormal or zero)."""
+    llr = rng.normal(0, 6, (rows, n)) * 10.0 ** rng.integers(-3, 2, (rows, n))
+    tiny = np.finfo(dtype).smallest_subnormal
+    at = rng.choice(llr.size, size=edges, replace=False)
+    llr.flat[at] = rng.choice([0.0, -0.0, LLR_MAX, -LLR_MAX, tiny, -tiny, 64 * tiny,
+                               100.0, -1e30], size=at.size)
+    return llr.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 10, 32, 33])
+def test_loo_kernel_is_the_loop_kernel_bit_for_bit(rows, dtype):
+    """Every row range of the kernel, written to a new array or to out=, is
+    the prefix/suffix loop's result word for word, on C-ordered and
+    transposed stacks; llr_to_phi in place is llr_to_phi. A single column
+    has no edge values, which would make most chains infinite: there the
+    order of the additions shows."""
+    rng = np.random.default_rng(rows)
+    word = f"u{np.dtype(dtype).itemsize}"
+    for n, edges in ((1, 0), (40, rows * 40 // 3)):
+        llr = _edge_llrs(rng, rows, n, dtype, edges)
+        stack = llr_to_phi(llr)
+        in_place = llr.copy()
+        assert llr_to_phi(in_place, out=in_place) is in_place
+        assert np.array_equal(in_place.view(word), stack.view(word))
+        # phi-domain zeros (infinite LLRs) and subnormals (huge LLRs)
+        at = rng.choice(stack.size, size=edges // 2, replace=False)
+        tiny = np.finfo(dtype).smallest_subnormal
+        stack.flat[at] = rng.choice([0.0, -0.0, tiny, -tiny, 8 * tiny], size=at.size).astype(dtype)
+        for layout in (stack, np.asfortranarray(stack)):
+            for lo in range(rows):
+                for hi in range(lo + 1, rows + 1):
+                    ref = loop_loo_boxplus(layout, lo, hi).view(word)
+                    assert np.array_equal(leave_one_out_boxplus(layout, lo, hi).view(word), ref)
+                    out = np.full((hi - lo, n), np.nan, dtype=dtype)
+                    assert leave_one_out_boxplus(layout, lo, hi, out=out) is out
+                    assert np.array_equal(out.view(word), ref)
+
+
+@pytest.mark.parametrize("block", range(1, 10))
 def test_blockwise_loo_sum_matches_numpy_sum(block):
     """The RC extrinsic sums each block as x.sum(axis=1) does, bit for bit,
     on both sides of numpy's switch to pairwise summation at 8 terms."""
