@@ -1,8 +1,10 @@
-"""BI-AWGN channel: noise generation, SNR conversions, channel LLRs.
+"""BI-AWGN channel: noise generation, the Eb/N0 to sigma conversion, channel LLRs.
 
 Eb/N0 in dB relates to the per-dimension noise std dev by
 gamma_b = 10*log10(1 / (2 * sigma^2 * R)).
 """
+
+import math
 
 import numpy as np
 
@@ -12,14 +14,15 @@ from .kernels import LLR_MAX
 def ebn0_to_sigma(ebn0_db, rate):
     """Noise std dev per dimension at Eb/N0 = ebn0_db dB and code rate
     `rate`. +inf dB is the noiseless channel, sigma = 0; NaN, -inf and
-    values so low that 10^(Eb/N0 / 10) underflows have no sigma."""
+    values so low (below about -3200 dB) that sigma overflows have none."""
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     snr = 2.0 * rate * 10.0 ** (ebn0_db / 10.0)
-    if not snr > 0.0:
+    sigma = float(np.sqrt(1.0 / snr)) if snr > 0.0 else math.inf  # NaN > 0 is False
+    if not sigma < math.inf:
         raise ValueError(f"Eb/N0 must be a number above -inf dB with a finite noise level, "
                          f"got {ebn0_db} dB")
-    return float(np.sqrt(1.0 / snr))
+    return sigma
 
 
 def transmit(x, sigma, rng):

@@ -33,7 +33,8 @@ give the same bits as one add at a time:
 - LLR_MAX, 2 and the sign-bit word are numpy scalars of the message dtype,
   built once per dtype, not Python floats converted at every call.
 tests/test_swd.py keeps the loop kernel as the reference and checks every
-row range against it word for word.
+row range against it word for word. README "Performance" gives the measured
+pairs (BENCH_16.json).
 """
 
 from typing import NamedTuple

@@ -31,7 +31,7 @@ def test_infinite_ebn0_is_the_noiseless_channel():
     assert ebn0_to_sigma(float("inf"), 0.5) == 0.0
 
 
-@pytest.mark.parametrize("ebn0", [float("nan"), float("-inf"), -4000.0])
+@pytest.mark.parametrize("ebn0", [float("nan"), float("-inf"), -3230.0, -4000.0])
 def test_ebn0_without_a_noise_level_is_refused(ebn0):
     with pytest.raises(ValueError, match="Eb/N0"):
         ebn0_to_sigma(ebn0, 0.5)
