@@ -45,8 +45,10 @@ def _iowef_sum(iowef, log_p):
 def union_bound(iowef, ebn0_db):
     """Union bound on the BER of the short code (equivalently of its
     Cartesian product) over the BI-AWGNC:
-    sum_{g,h>=1} (g/K) A_{g,h} Q(sqrt(2 h (K/N) 10^(gamma/10)))."""
-    snr = np.atleast_1d(10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0))[..., None]
+    sum_{g,h>=1} (g/K) A_{g,h} Q(sqrt(2 h (K/N) 10^(gamma/10))). An SNR
+    that overflows (above about 3083 dB) is the noiseless limit, 0."""
+    with np.errstate(over="ignore"):
+        snr = np.atleast_1d(10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0))[..., None]
     out = _iowef_sum(iowef, lambda h: log_q(np.sqrt(2.0 * h * (iowef.K / iowef.N) * snr)))
     return float(np.squeeze(out)) if np.ndim(ebn0_db) == 0 else out
 

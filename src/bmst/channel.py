@@ -13,11 +13,15 @@ from .kernels import LLR_MAX
 
 def ebn0_to_sigma(ebn0_db, rate):
     """Noise std dev per dimension at Eb/N0 = ebn0_db dB and code rate
-    `rate`. +inf dB is the noiseless channel, sigma = 0; NaN, -inf and
-    values so low (below about -3200 dB) that sigma overflows have none."""
+    `rate`. +inf dB, and values so high (above about 3083 dB) that the SNR
+    overflows, are the noiseless channel, sigma = 0; NaN, -inf and values
+    so low (below about -3200 dB) that sigma overflows have none."""
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    snr = 2.0 * rate * 10.0 ** (ebn0_db / 10.0)
+    try:
+        snr = 2.0 * rate * 10.0 ** (ebn0_db / 10.0)
+    except OverflowError:
+        snr = math.inf
     sigma = float(np.sqrt(1.0 / snr)) if snr > 0.0 else math.inf  # NaN > 0 is False
     if not sigma < math.inf:
         raise ValueError(f"Eb/N0 must be a number above -inf dB with a finite noise level, "

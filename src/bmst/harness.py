@@ -32,7 +32,7 @@ from .tpd import decode_frame_gad, decode_frame_tpd, flipped_side_info
 # of run_sweep for some config and seed bumps it, so that a resume never
 # mixes rows of two versions; tests/test_harness.py pins it to a digest
 # of seeded sweeps.
-RESULTS_VERSION = 4
+RESULTS_VERSION = 5
 
 # the decoder parameters of SimConfig that each decoder reads; the results
 # identity leaves out those that cfg.decoder does not

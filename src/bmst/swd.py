@@ -29,11 +29,19 @@ uniform.
 Each iteration on the window [te, hi] is a forward sweep (plus node, then
 replication node, at s = te..hi) and a backward sweep of plus nodes
 (s = hi..te+1); the stop check then takes the APP of layer te from p2e.
-No node writes p2e[te+i, i] between the stop check and the next forward
-eq(te), so the check's evaluation of eq(te) feeds that node too. With
-m = 0 no layer reads another's messages, so the window is layer te alone,
-as with d = 0. A one-layer window's sweeps change no message that layer te
-reads, so it runs one iteration, whose forward eq(te) writes nothing. A node
+A window stops once layer te's decisions hold: its hard APP v_hat and its
+branch decisions w_tilde (below) equal those before the iteration, the
+first iteration comparing with the state after the window's forward
+plus(te). It also stops once the mean entropy of layer te's message bits
+falls below stop_threshold, or at i_max (window_stops). The stop is on
+discrete state, so round-off moves an iteration count only where it flips
+a decision. No node writes p2e[te+i, i] between the stop check and the
+next forward eq(te), so the check's evaluation of eq(te) feeds that node
+too, and its decisions are the ones emitted. With m = 0 no layer reads
+another's messages, so the window is layer te alone, as with d = 0. A
+one-layer window's sweeps change no message that layer te reads, so it
+runs one iteration, with nothing to compare, whose forward eq(te) writes
+nothing. A node
 computes only the messages that some node reads before they are
 overwritten, and each line below says why the others are dead:
 
@@ -81,8 +89,9 @@ from .kernels import LLR_MAX, clamp, float_array, leave_one_out_boxplus, llr_to_
 # e2p holds phi-domain messages (kernels.llr_to_phi): a uniform (zero)
 # message is phi(0) = inf, a known bit is phi(LLR_MAX) with its sign
 _PHI_UNIFORM = np.inf
-# the default stop of every decoder and of SimConfig: a window ends once the
-# mean binary entropy of its target layer's message bits falls below it
+# the default entropy stop of every decoder and of SimConfig: a window also
+# ends, before its decisions hold, once the mean binary entropy of its target
+# layer's message bits falls below it
 STOP_THRESHOLD = 1e-5
 
 
@@ -100,6 +109,16 @@ def binary_entropy_from_llr(llr):
 def hard_decision(llr):
     """LLR < 0 -> bit 1; ties (LLR == 0) resolve to bit 0."""
     return (np.asarray(llr) < 0).astype(np.uint8)
+
+
+def window_stops(iters, i_max, ent, stop_threshold, before, after):
+    """Whether a window stops after its iters-th iteration. It stops at
+    i_max; once ent, the mean entropy of its target layer's message bits,
+    falls below stop_threshold; or once that layer's decisions after the
+    iteration, (v_hat, w_tilde), equal those before it. A one-layer window
+    has no decisions before (None) and stops after its one iteration."""
+    return (before is None or iters >= i_max or ent < stop_threshold
+            or all(np.array_equal(b, a) for b, a in zip(before, after)))
 
 
 @dataclass
@@ -185,35 +204,36 @@ class WindowDecoder:
         for s in range(hi, te, -1):
             self._update_plus(s, max(1, s - L + 1), min(m, s - te))
 
+    def _decide(self, te):
+        """_eq_inputs(te), layer te's APP and its decisions (v_hat, w_tilde)
+        from the current messages: the hard APP, and the hard messages its
+        replication node would send from this state."""
+        eq_te = a, s_in, ext = self._eq_inputs(te)
+        total = ext + s_in
+        app = clamp(total)
+        return eq_te, app, (hard_decision(app), hard_decision(total - a))
+
     def decode_step(self, te):
         """Run the window whose target (oldest) layer is te; emit it."""
         sys = self.sys
         hi = te if sys.m == 0 else min(te + self.d, sys.total_blocks - 1)
         self._update_plus(te, 0, 0)  # fixed for the window; see the schedule
-        # a one-layer window changes nothing layer te reads: a second iteration
-        # would repeat the first one's APP, and the forward eq(te) writes nothing
-        idle = hi == te
-        i_max = 1 if idle else self.i_max
-        eq_te = None if idle else self._eq_inputs(te)
-        prev_ent = np.inf
+        # a one-layer window changes nothing layer te reads: it has nothing to
+        # compare, runs once, and its forward eq(te) writes nothing
+        eq_te, _, before = (None, None, None) if hi == te else self._decide(te)
         iters = 0
-        for _ in range(i_max):
+        while True:
             self._iterate(te, hi, eq_te)
             iters += 1
-            eq_te = a, s_in, ext = self._eq_inputs(te)
-            app = clamp(s_in + ext)  # full APP on layer te's codeword bits
+            eq_te, app, after = self._decide(te)
             ent = binary_entropy_from_llr(self._msg_llr(app))
-            if ent < self.stop_threshold or ent >= prev_ent:
+            if window_stops(iters, self.i_max, ent, self.stop_threshold, before, after):
                 break
-            prev_ent = ent
-        u_hat = hard_decision(self._msg_llr(app))
-        v_hat = hard_decision(app)
-        # extrinsic branch messages of layer te, as its replication node
-        # would send them from this state
-        w_tilde = hard_decision((ext + s_in) - a)
+            before = after
+        v_hat, w_tilde = after
         # decision feedback: pin the emitted layer for later windows
         self._from(self.e2p, te)[self._e2p_at] = np.where(v_hat, -self._phi_max, self._phi_max)
-        return u_hat, v_hat, w_tilde, iters
+        return self._msg_llr(v_hat), v_hat, w_tilde, iters
 
     def _msg_llr(self, app):
         """Extract message-bit LLRs (systematic positions) from codeword APPs."""

@@ -265,6 +265,28 @@ def test_predict_rejects_ebn0_without_a_noise_level(capsys, ebn0):
     assert err.startswith("error: Eb/N0 must be") and "Traceback" not in err
 
 
+def test_predict_at_an_overflowing_ebn0_is_the_noiseless_limit(capsys):
+    args = ["predict", "--spec", "RC[2,1]^5000", "--m", "30", "--p1", "1e-3"]
+    assert main([*args, "--ebn0", "inf"]) == 0
+    noiseless = capsys.readouterr().out
+    assert main([*args, "--ebn0", "4000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == noiseless and captured.err == ""
+    pred, lb = (line.split()[-1] for line in noiseless.splitlines())
+    iowef = bmst.compute_iowef(bmst.parse_code_spec("RC[2,1]^5000").short)
+    assert pred == f"{bmst.analysis.genie_floor(iowef, 30, 1e-3):.3e}"
+    assert lb == "0.000e+00"
+
+
+def test_bound_at_an_overflowing_ebn0_is_zero(capsys):
+    # RuntimeWarnings are errors under this suite's filterwarnings
+    assert main(["bound", "--spec", "RC[2,1]^10", "--kind", "lower", "--m", "2",
+                 "--grid", "3000:100:3200"]) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    assert [float(r["ber"]) for r in rows] == [0.0, 0.0, 0.0] and captured.err == ""
+
+
 def test_predict_rejects_bad_p1():
     assert main(["predict", "--spec", "RC[2,1]^5000", "--m", "30",
                  "--p1", "0.7", "--ebn0", "0.5"]) == 1

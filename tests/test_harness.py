@@ -259,7 +259,7 @@ DIGEST_SWEEPS = [
     dict(decoder="gad_perfect", code="RC[2,1]^20", m=2),
     dict(decoder="gad_flipped", code="SPC[4,3]^10", m=2, p_genie=0.02),
 ]
-RESULTS_DIGESTS = {4: "0ac263af9bfdace571c836f465ffe23465711a39dfa0a56cb5cae6b6e18f5561"}
+RESULTS_DIGESTS = {5: "cb7bbb8fa6f3e109d52ebf1730cfe9a02c8bc94a62bb8df60faf9484cf47fdd8"}
 
 
 def test_results_version_pins_seeded_results():
