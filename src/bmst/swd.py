@@ -226,19 +226,20 @@ class WindowDecoder:
             self._iterate(te, hi, eq_te)
             iters += 1
             eq_te, app, after = self._decide(te)
-            ent = binary_entropy_from_llr(self._msg_llr(app))
+            ent = binary_entropy_from_llr(self._systematic(app))
             if window_stops(iters, self.i_max, ent, self.stop_threshold, before, after):
                 break
             before = after
         v_hat, w_tilde = after
         # decision feedback: pin the emitted layer for later windows
         self._from(self.e2p, te)[self._e2p_at] = np.where(v_hat, -self._phi_max, self._phi_max)
-        return self._msg_llr(v_hat), v_hat, w_tilde, iters
+        return self._systematic(v_hat), v_hat, w_tilde, iters
 
-    def _msg_llr(self, app):
-        """Extract message-bit LLRs (systematic positions) from codeword APPs."""
+    def _systematic(self, x):
+        """The message-bit (systematic) positions of layer-sized codeword
+        values x: APPs or hard decisions."""
         short = self.sys.basic.short
-        return app.reshape(self.sys.basic.B, short.N)[:, :short.K].reshape(-1)
+        return x.reshape(self.sys.basic.B, short.N)[:, :short.K].reshape(-1)
 
 
 def decode_frame_swd(sys, llrs, d, i_max, stop_threshold=STOP_THRESHOLD):
