@@ -3,8 +3,10 @@ bisection, BI-AWGN Shannon limit, the memory design rule, and the
 (noisy-)genie-aided bound chain used to predict error floors far below what
 simulation can reach. Everything below 1e-300 is accumulated in log domain.
 
-scipy.special and hermgauss are imported inside the functions that call
-them: they cost most of `import bmst`, and decoding never calls them.
+The Gaussian tail, log-sum-exp and log-binomials are numpy and `math`
+alone: erfc from `math.erfc`, elementwise, and log Q(x) above x = 30 from
+its asymptotic series. hermgauss is imported inside biawgn_capacity, the
+one function that calls it.
 """
 
 import math
@@ -17,29 +19,63 @@ from .channel import ebn0_to_sigma
 
 DB_TOL = 1e-4  # bisection tolerance in dB (spec'd at <= 1e-3)
 
+_SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# log Q(x) from x = _TAIL_FROM on is -x^2/2 - log(x sqrt(2 pi)) + log S(1/x^2),
+# S(z) = sum_k (-1)^k (2k-1)!! z^k; eleven terms leave a remainder below
+# 1e-17 there. Below it, 0.5 erfc(x/sqrt(2)) is a normal number.
+_TAIL_FROM = 30.0
+_TAIL_SERIES = [(-1) ** k * math.prod(range(1, 2 * k, 2)) for k in range(11)][::-1]
+
+
+def _erfc(z):
+    """math.erfc elementwise over an array of any shape: numpy has no erfc,
+    and the arrays here hold at most (m+1)h+1 values per Eb/N0."""
+    z = np.asarray(z, dtype=np.float64)
+    return np.fromiter(map(math.erfc, z.flat), np.float64, z.size).reshape(z.shape)
+
 
 def q_function(x):
     """Gaussian tail probability Q(x)."""
-    from scipy.special import erfc
-    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
+    return 0.5 * _erfc(np.asarray(x, dtype=np.float64) / _SQRT2)
 
 
 def log_q(x):
-    """log Q(x), stable for large x."""
-    from scipy.special import log_ndtr
-    return log_ndtr(-np.asarray(x, dtype=np.float64))
+    """log Q(x) for x of any shape, stable for large x: log1p(-Q(-x)) below
+    0, log Q(x) up to _TAIL_FROM, its asymptotic series above. log Q(-inf)
+    is 0, log Q(inf) is -inf and NaN stays NaN; a scalar gives a float64
+    scalar."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.full(x.shape, np.nan)
+    neg, tail = x < 0, x >= _TAIL_FROM
+    mid = (x >= 0) & ~tail
+    out[neg] = np.log1p(-0.5 * _erfc(-x[neg] / _SQRT2))
+    out[mid] = np.log(0.5 * _erfc(x[mid] / _SQRT2))
+    xt = x[tail]
+    with np.errstate(over="ignore"):  # x^2 overflows to the right -inf
+        out[tail] = (-0.5 * xt * xt - np.log(xt) - _LOG_SQRT_2PI
+                     + np.log(np.polyval(_TAIL_SERIES, (1.0 / xt) ** 2)))
+    return out[()]
+
+
+def _logsumexp(a, axis=-1):
+    """log(sum(exp(a))) along axis, shifted by its maximum; an axis that is
+    all -inf gives -inf."""
+    top = np.max(a, axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):  # log(0) = -inf for an all -inf axis
+        return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis=axis)
 
 
 def _iowef_sum(iowef, log_p):
     """sum_{g,h>=1} (g/K) A_{g,h} P(h) over the short code's IOWEF, summed in
     log domain over the last axis: the one place a bound weighs its
     competitors. log_p maps the array of competitor weights h to log P(h)."""
-    from scipy.special import logsumexp
     terms = [(g, h, a) for (g, h), a in iowef.coefficients.items() if g >= 1 and h >= 1]
     if not terms:
         return 0.0
     g, h, a = np.array(terms, dtype=float).T
-    return np.exp(logsumexp(np.log(g / iowef.K) + np.log(a) + log_p(h), axis=-1))
+    return np.exp(_logsumexp(np.log(g / iowef.K) + np.log(a) + log_p(h), axis=-1))
 
 
 def union_bound(iowef, ebn0_db):
@@ -180,7 +216,6 @@ def flip_probability(p_genie, m):
 
 
 def _log_pep(h, m, p_flip, sigma):
-    from scipy.special import gammaln, logsumexp
     if h < 1:
         raise ValueError("h must be >= 1")
     if not sigma >= 0:
@@ -197,9 +232,10 @@ def _log_pep(h, m, p_flip, sigma):
         return logq[0]
     if p_flip == 1.0:
         return logq[-1]
-    logbin = (gammaln(M + 1) - gammaln(r + 1) - gammaln(M - r + 1)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(M + 1)])  # log k!
+    logbin = (log_fact[M] - log_fact - log_fact[::-1]
               + r * np.log(p_flip) + (M - r) * np.log1p(-p_flip))
-    return logsumexp(logbin + logq)
+    return _logsumexp(logbin + logq)
 
 
 def pep(h, m, p_flip, sigma):

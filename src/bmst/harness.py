@@ -15,7 +15,7 @@ import operator
 import os
 import time
 from collections import deque
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
@@ -227,29 +227,37 @@ def simulate_frame(cfg, ebn0_db, point_idx, frame_idx):
     return out
 
 
-def _frames(cfg, ebn0_db, point_idx):
+def _pool(workers):
+    """A process pool for the frames of workers > 1 workers; for one worker,
+    a null context, and the frames run in this process."""
+    if workers <= 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor  # only pools pay for it
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def _frames(cfg, ebn0_db, point_idx, pool):
     """FrameCounts of frames 0, 1, 2, ... of a grid point, in index order.
-    With more than one worker the frames run in a process pool, up to
-    2 * workers ahead; closing the generator cancels the ones not yet
-    started."""
-    if cfg.workers <= 1:
+    With a pool (from _pool) the frames run there, up to 2 * workers ahead;
+    closing the generator cancels the ones not yet started."""
+    if pool is None:
         for f in itertools.count():
             yield simulate_frame(cfg, ebn0_db, point_idx, f)
-    from concurrent.futures import ProcessPoolExecutor  # only pools pay for it
-    with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-        pending = deque()
-        try:
-            for f in itertools.count():
-                pending.append(ex.submit(simulate_frame, cfg, ebn0_db, point_idx, f))
-                if len(pending) == 2 * cfg.workers:
-                    yield pending.popleft().result()
-        finally:
-            for fut in pending:
-                fut.cancel()
+    pending = deque()
+    try:
+        for f in itertools.count():
+            pending.append(pool.submit(simulate_frame, cfg, ebn0_db, point_idx, f))
+            if len(pending) == 2 * cfg.workers:
+                yield pending.popleft().result()
+    finally:
+        for fut in pending:
+            fut.cancel()
 
 
-def run_point(cfg, ebn0_db, point_idx=0):
-    """Simulate frames at one grid point until a stop rule fires."""
+def run_point(cfg, ebn0_db, point_idx=0, pool=None):
+    """Simulate frames at one grid point until a stop rule fires. The frames
+    run in pool, run_sweep's one pool for all its points; without it, a
+    point with more than one worker opens and closes its own."""
     start = time.monotonic()
     total = FrameCounts()
     truncated = False
@@ -257,7 +265,8 @@ def run_point(cfg, ebn0_db, point_idx=0):
     def stopped():
         return (total.errors >= cfg.min_bit_errors or total.bits >= cfg.max_bits)
 
-    with closing(_frames(cfg, ebn0_db, point_idx)) as frames:
+    with (nullcontext(pool) if pool is not None else _pool(cfg.workers)) as pool, \
+            closing(_frames(cfg, ebn0_db, point_idx, pool)) as frames:
         while not stopped():
             total.add(next(frames))
             if cfg.max_seconds > 0 and time.monotonic() - start > cfg.max_seconds:
@@ -309,9 +318,10 @@ def _load_completed(out_csv):
 
 
 def run_sweep(cfg, out_csv=None):
-    """run_point over the grid; with out_csv, rows are appended as they
-    finish and a rerun resumes, skipping completed points (the adjacent
-    config JSON must hash-match)."""
+    """run_point over the grid, in one process pool for all its points when
+    cfg.workers > 1; with out_csv, rows are appended as they finish and a
+    rerun resumes, skipping completed points (the adjacent config JSON must
+    hash-match)."""
     done = set()
     writer = None
     fh = None
@@ -341,14 +351,15 @@ def run_sweep(cfg, out_csv=None):
 
     results = []
     try:
-        for idx, g in enumerate(cfg.ebn0_grid_db):
-            if g in done:
-                continue
-            res = run_point(cfg, g, point_idx=idx)
-            results.append(res)
-            if writer is not None:
-                writer.writerow(res.csv_row())
-                fh.flush()
+        with _pool(cfg.workers) as pool:
+            for idx, g in enumerate(cfg.ebn0_grid_db):
+                if g in done:
+                    continue
+                res = run_point(cfg, g, point_idx=idx, pool=pool)
+                results.append(res)
+                if writer is not None:
+                    writer.writerow(res.csv_row())
+                    fh.flush()
     finally:
         if fh is not None:
             fh.close()

@@ -33,7 +33,8 @@ A window stops once layer te's decisions hold: its hard APP v_hat and its
 branch decisions w_tilde (below) equal those before the iteration, the
 first iteration comparing with the state after the window's forward
 plus(te). It also stops once the mean entropy of layer te's message bits
-falls below stop_threshold, or at i_max (window_stops). The stop is on
+falls below stop_threshold, or at i_max (window_stops); that entropy is
+evaluated only when the other rules leave the window running. The stop is on
 discrete state, so round-off moves an iteration count only where it flips
 a decision. No node writes p2e[te+i, i] between the stop check and the
 next forward eq(te), so the check's evaluation of eq(te) feeds that node
@@ -111,14 +112,17 @@ def hard_decision(llr):
     return (np.asarray(llr) < 0).astype(np.uint8)
 
 
-def window_stops(iters, i_max, ent, stop_threshold, before, after):
+def window_stops(iters, i_max, entropy, stop_threshold, before, after):
     """Whether a window stops after its iters-th iteration. It stops at
-    i_max; once ent, the mean entropy of its target layer's message bits,
-    falls below stop_threshold; or once that layer's decisions after the
-    iteration, (v_hat, w_tilde), equal those before it. A one-layer window
-    has no decisions before (None) and stops after its one iteration."""
-    return (before is None or iters >= i_max or ent < stop_threshold
-            or all(np.array_equal(b, a) for b, a in zip(before, after)))
+    i_max; once its target layer's decisions after the iteration,
+    (v_hat, w_tilde), equal those before it; or once entropy(), the mean
+    entropy of that layer's message bits, falls below stop_threshold.
+    entropy is called only when nothing else has stopped the window. A
+    one-layer window has no decisions before (None) and stops after its
+    one iteration."""
+    return (before is None or iters >= i_max
+            or all(np.array_equal(b, a) for b, a in zip(before, after))
+            or entropy() < stop_threshold)
 
 
 @dataclass
@@ -226,8 +230,9 @@ class WindowDecoder:
             self._iterate(te, hi, eq_te)
             iters += 1
             eq_te, app, after = self._decide(te)
-            ent = binary_entropy_from_llr(self._systematic(app))
-            if window_stops(iters, self.i_max, ent, self.stop_threshold, before, after):
+            if window_stops(iters, self.i_max,
+                            lambda: binary_entropy_from_llr(self._systematic(app)),
+                            self.stop_threshold, before, after):
                 break
             before = after
         v_hat, w_tilde = after

@@ -1,10 +1,11 @@
-from math import comb
+import warnings
+from math import comb, fsum
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.stats import norm
 
-from bmst.analysis import (biawgn_capacity, design_memory, find_gamma_target,
+from bmst.analysis import (_logsumexp, biawgn_capacity, design_memory, find_gamma_target,
                            flip_probability, genie_bound, genie_floor, log_q,
                            lower_bound, memory_from_gap, pep, q_function,
                            shannon_limit_biawgn, union_bound)
@@ -22,17 +23,70 @@ def test_q_function_values():
     assert np.exp(log_q(40.0)) == pytest.approx(q_function(40.0), rel=1e-9)
 
 
-def test_log_q_is_scipy_stats_norm_logsf_exactly():
-    # log_q calls scipy.special.log_ndtr(-x), which norm.logsf wraps; this
-    # pins the identity on the installed scipy
-    x = np.concatenate([np.linspace(-40.0, 40.0, 20001), np.geomspace(1e-300, 40.0, 2000),
-                        -np.geomspace(1e-300, 40.0, 2000),
-                        [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 37.5, 38.5]])
-    got, want = log_q(x), norm.logsf(x)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
-    for xi in (0.0, -0.0, 1.0, 40.0, -40.0, np.inf, -np.inf, 3):
-        assert log_q(xi) == norm.logsf(xi)
+def mp_log_q(x):
+    """log Q(x) in 120-digit mpmath: log1p(-Q(-x)) below 0, where Q(x) is
+    within a few ulp of 1."""
+    with mpmath.workdps(120):
+        z = mpmath.mpf(float(x)) / mpmath.sqrt(2)
+        return mpmath.log1p(-mpmath.erfc(-z) / 2) if x < 0 else mpmath.log(mpmath.erfc(z) / 2)
+
+
+def test_log_q_matches_mpmath():
+    # the tolerances are scipy.special.log_ndtr's own levels on these
+    # points: 4.7e-16 from -1 up, and 2.0e-13 below -1, where
+    # log Q(x) = log1p(-Q(-x)) ~ -Q(-x) carries erfc's relative error
+    x = np.concatenate([np.linspace(-37.0, 40.0, 1601), np.geomspace(1.0, 1e6, 400),
+                        np.nextafter(30.0, [-np.inf, np.inf]), [30.0, -1.0, 0.0, -0.0]])
+    got = log_q(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    with mpmath.workdps(120):
+        rel = np.array([float(abs((mpmath.mpf(float(g)) - w) / w))
+                        for g, w in zip(got, map(mp_log_q, x))])
+    assert rel[x >= -1].max() <= 1e-15
+    assert rel[x < -1].max() <= 5e-13
+
+
+def test_log_q_shapes_and_special_values():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        special = log_q(np.array([np.inf, -np.inf, np.nan, 1e200, -1e200]))
+    assert special[0] == -np.inf and special[1] == 0.0 and np.isnan(special[2])
+    assert special[3] == -np.inf and special[4] == 0.0
+    # a scalar or 0-d array gives a float64 scalar; any other shape is kept
+    for scalar in (3.0, 3, np.float32(3.0), np.array(3.0)):
+        value = log_q(scalar)
+        assert type(value) is np.float64 and value == log_q(np.array([3.0]))[0]
+    grid = np.linspace(-5.0, 45.0, 12).reshape(3, 4)
+    assert log_q(grid).shape == (3, 4)
+    assert np.array_equal(log_q(grid), log_q(grid.ravel()).reshape(3, 4))
+    assert np.array_equal(log_q(grid.T), log_q(grid).T)
+    assert log_q(np.empty((0, 2))).shape == (0, 2)
+    assert type(q_function(1.0)) is np.float64 and q_function(np.ones((2, 3))).shape == (2, 3)
+
+
+def test_logsumexp_edges():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _logsumexp(np.full(4, -np.inf)) == -np.inf
+        rows = _logsumexp(np.array([[-np.inf, -np.inf], [0.0, -np.inf]]), axis=-1)
+    assert rows.tolist() == [-np.inf, 0.0]
+    for single in (-1e300, -745.0, 0.0, 3.5, 700.0):
+        assert _logsumexp(np.array([single])) == single
+    assert _logsumexp(np.array([np.inf, 0.0])) == np.inf
+    assert np.isnan(_logsumexp(np.array([np.nan, 0.0])))
+    # broadcast over the union bound's grid: rows of one Eb/N0 each, one
+    # column per IOWEF term, as _iowef_sum sums them
+    rng = np.random.default_rng(1)
+    terms = rng.uniform(-900.0, -1.0, size=(1, 7)) + rng.uniform(-30.0, 0.0, size=(25, 1))
+    got = _logsumexp(terms, axis=-1)
+    assert got.shape == (25,)
+    with mpmath.workdps(50):
+        want = [mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(float(t))) for t in row))
+                for row in terms]
+    for g, w in zip(got, want):
+        assert abs(g - float(w)) <= 1e-14 * abs(float(w))
+    assert _logsumexp(terms.T, axis=0).tolist() == got.tolist()
+    assert np.exp(_logsumexp(np.log([1.0, 2.0, 3.0]))) == pytest.approx(fsum([1.0, 2.0, 3.0]))
 
 
 def test_union_bound_monotone_decreasing():

@@ -37,6 +37,27 @@ print(repr(clopper_pearson(3, 1000)))
     assert out.split("\n")[:2] == ["[]", repr(clopper_pearson(3, 1000))]
 
 
+def test_bound_chain_loads_no_scipy():
+    # the closed-form commands are their start-up: bmst.analysis computes
+    # its tails, log-sum-exps and log-binomials with numpy and math alone
+    src = str(Path(bmst.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = """
+import sys
+from bmst import analysis, harness
+from bmst.codes import compute_iowef, make_repetition
+iowef = compute_iowef(make_repetition(2))
+print(analysis.lower_bound(iowef, 2, 2.0), analysis.design_memory(0.5, 1e-15, iowef).m,
+      analysis.genie_bound(iowef, 8, 2.5e-4, 1.5), analysis.genie_floor(iowef, 8, 1e-3),
+      harness.predict_floor("RC[2,1]^500", 8, 2.5e-4, 1.5))
+print(sorted(m for m in sys.modules if m.startswith(("scipy.special", "scipy.stats"))))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split("\n")[1] == "[]"
+
+
 def test_parse_rate():
     assert parse_rate("1/2") == pytest.approx(0.5)
     for bad in ("0", "1", "3/2", "x", "1/0"):

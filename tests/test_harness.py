@@ -169,6 +169,28 @@ def test_worker_count_invariance():
     assert (r1.bits, r1.errors) == (r2.bits, r2.errors)
 
 
+def test_sweep_opens_one_pool_and_writes_what_one_worker_writes(tmp_path, monkeypatch):
+    import concurrent.futures
+    opened = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    grid = (2.0, 3.0, 4.0)
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    run_sweep(small_cfg(ebn0_grid_db=grid, min_bit_errors=30), out_csv=one)
+    assert opened == []
+    run_sweep(small_cfg(ebn0_grid_db=grid, min_bit_errors=30, workers=2), out_csv=two)
+    assert opened == [2]
+    assert two.read_bytes() == one.read_bytes()
+    # a point run on its own opens its own pool
+    run_point(small_cfg(ebn0_grid_db=grid, min_bit_errors=30, workers=2), 3.0, point_idx=1)
+    assert opened == [2, 2]
+
+
 def test_high_snr_collects_no_errors():
     cfg = small_cfg(ebn0_grid_db=(12.0,), max_bits=2000)
     r = run_point(cfg, 12.0)

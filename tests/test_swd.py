@@ -350,20 +350,25 @@ def test_window_stops_once_decisions_hold():
     v, w = np.array([0, 1, 1], np.uint8), np.array([[1, 0, 0], [0, 0, 1]], np.uint8)
     w_moved = w.copy()
     w_moved[1, 2] = 0
-    hi_ent = 10 * STOP_THRESHOLD
-    # unchanged decisions stop, whatever the entropy
-    assert window_stops(1, 18, hi_ent, STOP_THRESHOLD, (v, w), (v.copy(), w.copy()))
+    def hi_ent():
+        return 10 * STOP_THRESHOLD
+
+    def unread():
+        raise AssertionError("entropy evaluated for a window that has stopped")
+
+    # unchanged decisions stop, without the entropy
+    assert window_stops(1, 18, unread, STOP_THRESHOLD, (v, w), (v.copy(), w.copy()))
     # a change in w_tilde alone, or in v_hat alone, keeps iterating
     assert not window_stops(1, 18, hi_ent, STOP_THRESHOLD, (v, w), (v, w_moved))
     assert not window_stops(1, 18, hi_ent, STOP_THRESHOLD, (v, w), (1 - v, w))
     # the entropy threshold stops moving decisions
-    assert window_stops(1, 18, STOP_THRESHOLD / 2, STOP_THRESHOLD, (v, w), (v, w_moved))
-    assert not window_stops(1, 18, STOP_THRESHOLD, STOP_THRESHOLD, (v, w), (v, w_moved))
-    # i_max caps the iterations
+    assert window_stops(1, 18, lambda: STOP_THRESHOLD / 2, STOP_THRESHOLD, (v, w), (v, w_moved))
+    assert not window_stops(1, 18, lambda: STOP_THRESHOLD, STOP_THRESHOLD, (v, w), (v, w_moved))
+    # i_max caps the iterations, without the entropy
     assert not window_stops(17, 18, hi_ent, STOP_THRESHOLD, (v, w), (v, w_moved))
-    assert window_stops(18, 18, hi_ent, STOP_THRESHOLD, (v, w), (v, w_moved))
+    assert window_stops(18, 18, unread, STOP_THRESHOLD, (v, w), (v, w_moved))
     # a one-layer window has nothing to compare and runs once
-    assert window_stops(1, 18, hi_ent, STOP_THRESHOLD, None, (v, w))
+    assert window_stops(1, 18, unread, STOP_THRESHOLD, None, (v, w))
 
 
 def test_hard_decision_sign_and_ties():
@@ -527,8 +532,8 @@ class FullScheduleDecoder:
                 self.eq(s)
             iters += 1
             app, after = self.decisions(te)
-            ent = binary_entropy_from_llr(self.msg_llr(app))
-            if window_stops(iters, self.i_max, ent, STOP_THRESHOLD, before, after):
+            if window_stops(iters, self.i_max, lambda: binary_entropy_from_llr(self.msg_llr(app)),
+                            STOP_THRESHOLD, before, after):
                 break
             before = after
         v_hat, w_tilde = after
