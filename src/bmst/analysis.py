@@ -30,7 +30,8 @@ _TAIL_SERIES = [(-1) ** k * math.prod(range(1, 2 * k, 2)) for k in range(11)][::
 
 def _erfc(z):
     """math.erfc elementwise over an array of any shape: numpy has no erfc,
-    and the arrays here hold at most (m+1)h+1 values per Eb/N0."""
+    and the bound chain's arrays are small, (m+1)h+1 looks for a pep and one
+    value per IOWEF term and Eb/N0 for a union bound."""
     z = np.asarray(z, dtype=np.float64)
     return np.fromiter(map(math.erfc, z.flat), np.float64, z.size).reshape(z.shape)
 

@@ -33,7 +33,7 @@ def mp_log_q(x):
 
 def test_log_q_matches_mpmath():
     # the tolerances are scipy.special.log_ndtr's own levels on these
-    # points: 4.7e-16 from -1 up, and 2.0e-13 below -1, where
+    # points: 4.7e-16 from -1 up, and 2.1e-13 below -1, where
     # log Q(x) = log1p(-Q(-x)) ~ -Q(-x) carries erfc's relative error
     x = np.concatenate([np.linspace(-37.0, 40.0, 1601), np.geomspace(1.0, 1e6, 400),
                         np.nextafter(30.0, [-np.inf, np.inf]), [30.0, -1.0, 0.0, -0.0]])

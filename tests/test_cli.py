@@ -19,43 +19,31 @@ def test_import_loads_no_scipy_stats():
     # scipy.stats costs about a second of start-up for every CLI call and
     # pool worker. scipy.special, the process pool and numpy.polynomial are
     # imported by the calls that use them, so a process that only decodes
-    # loads none of them
+    # loads none of them. The bound chain, all that design, bound and
+    # predict compute, is numpy and math alone and loads no scipy either
     src = str(Path(bmst.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = """
 import sys, bmst, bmst.cli
-from bmst.harness import SimConfig, clopper_pearson, simulate_frame
+from bmst import analysis
+from bmst.codes import compute_iowef, make_repetition
+from bmst.harness import SimConfig, clopper_pearson, predict_floor, simulate_frame
+def loaded(*prefixes):
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
 cfg = SimConfig(code="RC[2,1]^50", m=2, L=8, decoder="tpd", ebn0_grid_db=(2.0,), seed=4)
 simulate_frame(cfg, 2.0, 0, 0)
-print(sorted(m for m in sys.modules if m.startswith(
-    ("scipy.stats", "scipy.special", "concurrent.futures.process", "numpy.polynomial"))))
+print(loaded("scipy.stats", "scipy.special", "concurrent.futures.process", "numpy.polynomial"))
+iowef = compute_iowef(make_repetition(2))
+analysis.lower_bound(iowef, 2, 2.0), analysis.design_memory(0.5, 1e-15, iowef)
+analysis.genie_bound(iowef, 8, 2.5e-4, 1.5), analysis.genie_floor(iowef, 8, 1e-3)
+predict_floor("RC[2,1]^500", 8, 2.5e-4, 1.5)
+print(loaded("scipy.stats", "scipy.special"))
 print(repr(clopper_pearson(3, 1000)))
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split("\n")[:2] == ["[]", repr(clopper_pearson(3, 1000))]
-
-
-def test_bound_chain_loads_no_scipy():
-    # the closed-form commands are their start-up: bmst.analysis computes
-    # its tails, log-sum-exps and log-binomials with numpy and math alone
-    src = str(Path(bmst.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = """
-import sys
-from bmst import analysis, harness
-from bmst.codes import compute_iowef, make_repetition
-iowef = compute_iowef(make_repetition(2))
-print(analysis.lower_bound(iowef, 2, 2.0), analysis.design_memory(0.5, 1e-15, iowef).m,
-      analysis.genie_bound(iowef, 8, 2.5e-4, 1.5), analysis.genie_floor(iowef, 8, 1e-3),
-      harness.predict_floor("RC[2,1]^500", 8, 2.5e-4, 1.5))
-print(sorted(m for m in sys.modules if m.startswith(("scipy.special", "scipy.stats"))))
-"""
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split("\n")[1] == "[]"
+    assert out.split("\n")[:3] == ["[]", "[]", repr(clopper_pearson(3, 1000))]
 
 
 def test_parse_rate():

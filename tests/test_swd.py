@@ -350,6 +350,7 @@ def test_window_stops_once_decisions_hold():
     v, w = np.array([0, 1, 1], np.uint8), np.array([[1, 0, 0], [0, 0, 1]], np.uint8)
     w_moved = w.copy()
     w_moved[1, 2] = 0
+
     def hi_ent():
         return 10 * STOP_THRESHOLD
 
