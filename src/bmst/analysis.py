@@ -5,8 +5,9 @@ simulation can reach. Everything below 1e-300 is accumulated in log domain.
 
 The Gaussian tail, log-sum-exp and log-binomials are numpy and `math`
 alone: erfc from `math.erfc`, elementwise, and log Q(x) above x = 30 from
-its asymptotic series. hermgauss is imported inside biawgn_capacity, the
-one function that calls it.
+its asymptotic series. The Gauss-Hermite rules of biawgn_capacity are built
+once per node count (_hermgauss), which imports numpy.polynomial on first
+use.
 """
 
 import math
@@ -18,6 +19,7 @@ import numpy as np
 from .channel import ebn0_to_sigma
 
 DB_TOL = 1e-4  # bisection tolerance in dB (spec'd at <= 1e-3)
+CAPACITY_TOL = 1e-6  # biawgn_capacity's agreement of successive node counts
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -90,11 +92,11 @@ def union_bound(iowef, ebn0_db):
     return float(np.squeeze(out)) if np.ndim(ebn0_db) == 0 else out
 
 
-def _bisect_db(f, lo, hi, tol=DB_TOL):
+def _bisect_db(f, lo, hi):
     flo, fhi = f(lo), f(hi)
     if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
         raise ValueError("root not bracketed")
-    while hi - lo > tol:
+    while hi - lo > DB_TOL:
         mid = 0.5 * (lo + hi)
         if (f(mid) > 0) == (flo > 0):
             lo = mid
@@ -126,18 +128,25 @@ def find_gamma_target(iowef, p_target):
 # BI-AWGN capacity / Shannon limit
 # ---------------------------------------------------------------------------
 
-def biawgn_capacity(sigma, tol=1e-6):
+@lru_cache(maxsize=None)
+def _hermgauss(nodes):
+    """Gauss-Hermite nodes and weights, built once per node count: building
+    a rule costs far more than a capacity that uses it."""
+    from numpy.polynomial.hermite import hermgauss  # only capacities pay for it
+    return hermgauss(nodes)
+
+
+def biawgn_capacity(sigma):
     """Capacity (bits/use) of BPSK over AWGN with noise std dev sigma,
     by Gauss-Hermite quadrature with node doubling until two successive
-    node counts agree within tol."""
-    from numpy.polynomial.hermite import hermgauss
+    node counts agree within CAPACITY_TOL."""
     prev = None
     nodes = 64
     while True:
-        x, w = hermgauss(nodes)
+        x, w = _hermgauss(nodes)
         llr = 2.0 * (1.0 + sigma * np.sqrt(2.0) * x) / sigma ** 2
         c = 1.0 - np.sum(w * np.logaddexp(0.0, -llr)) / (np.sqrt(np.pi) * np.log(2.0))
-        if prev is not None and abs(c - prev) < tol:
+        if prev is not None and abs(c - prev) < CAPACITY_TOL:
             return c
         prev = c
         nodes *= 2

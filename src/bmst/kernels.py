@@ -12,7 +12,9 @@ rule. boxplus_numpy is the pairwise form of the same rule and serves as the
 elementwise oracle; the kernels agree with it to 1e-12 in LLR.
 leave_one_out_boxplus takes its stack already in the phi domain
 (llr_to_phi), so a caller that keeps its messages there converts each
-message once, not at every read.
+message once, not at every read. phi(0) divides by zero and phi(tiny)
+overflows, each to the right inf; _phi_inplace, which every phi here goes
+through, silences both warnings itself.
 
 The kernels on the message path (llr_to_phi, phi, leave_one_out_boxplus and
 the blockwise extrinsics) compute in the dtype they are given, float32 or
@@ -95,15 +97,15 @@ def phi(x):
     """phi(x) = log((e^x + 1)/(e^x - 1)) for x >= 0, in the branch-free form
     log1p(2/expm1(x)), which keeps full relative precision at both ends.
     phi(0) = inf and phi(inf) = 0."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return _phi_inplace(np.array(float_array(x)))
+    return _phi_inplace(np.array(float_array(x)))
 
 
 def _phi_inplace(x):
-    # callers silence the divide and overflow warnings of phi(0) and phi(tiny)
-    np.expm1(x, out=x)
-    np.divide(_TYPED[x.dtype].two, x, out=x)
-    return np.log1p(x, out=x)
+    # silences the divide and overflow warnings of phi(0) and phi(tiny)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.expm1(x, out=x)
+        np.divide(_TYPED[x.dtype].two, x, out=x)
+        return np.log1p(x, out=x)
 
 
 def clamp(x):
@@ -130,9 +132,7 @@ def llr_to_phi(llr, out=None):
     llr = float_array(llr)
     typed = _TYPED[llr.dtype]
     sign = np.bitwise_and(llr.view(typed.word), typed.sign_bit)
-    out = np.abs(llr, out=out)
-    with np.errstate(divide="ignore", over="ignore"):
-        _phi_inplace(out)
+    out = _phi_inplace(np.abs(llr, out=out))
     return _or_sign(out, sign)
 
 
@@ -177,8 +177,7 @@ def leave_one_out_boxplus(stack, lo=0, hi=None, out=None):
         for i in range(rows - 2, lo - 1, -1):
             np.add(suf[i - lo + 1], mag[i + 1], out=suf[i - lo])
         np.add(pre[lo:], suf[:hi - lo], out=out)
-    with np.errstate(divide="ignore", over="ignore"):
-        _phi_inplace(out)
+    _phi_inplace(out)
     np.minimum(out, typed.llr_max, out=out)
     # row i is negative where its sign differs from the parity of all signs
     words = stack.view(typed.word)

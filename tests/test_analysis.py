@@ -1,16 +1,19 @@
 import warnings
+from collections import Counter
 from math import comb, fsum
 
 import mpmath
 import numpy as np
+import numpy.polynomial.hermite
 import pytest
 
-from bmst.analysis import (_logsumexp, biawgn_capacity, design_memory, find_gamma_target,
-                           flip_probability, genie_bound, genie_floor, log_q,
-                           lower_bound, memory_from_gap, pep, q_function,
+from bmst import analysis
+from bmst.analysis import (_bisect_db, _logsumexp, biawgn_capacity, design_memory,
+                           find_gamma_target, flip_probability, genie_bound, genie_floor,
+                           log_q, lower_bound, memory_from_gap, pep, q_function,
                            shannon_limit_biawgn, union_bound)
 from bmst.channel import ebn0_to_sigma
-from bmst.codes import compute_iowef, make_repetition, make_spc
+from bmst.codes import Iowef, compute_iowef, make_repetition, make_spc
 
 
 def iowef_rc2():
@@ -109,8 +112,10 @@ def test_required_snr_anchors_parity_codes():
 
 def test_gamma_target_roundtrip():
     iow = iowef_rc2()
-    g = find_gamma_target(iow, 1e-7)
-    assert union_bound(iow, g) == pytest.approx(1e-7, rel=1e-3)
+    for target in (1e-7, 1e-100):
+        g = find_gamma_target(iow, target)
+        assert union_bound(iow, g) == pytest.approx(target, rel=1e-3)
+    assert g > 20.0  # 1e-100 lies beyond the first bracket, which grew
 
 
 def test_shannon_limit_anchors():
@@ -174,9 +179,11 @@ def test_coin_flip_side_information_is_exact_and_silent():
 
 def test_pep_reduces_to_q_without_flips():
     sigma = ebn0_to_sigma(2.0, 0.5)
-    # M = (m+1) h looks: pep(p_flip=0) = Q(sqrt(M)/sigma)
-    assert pep(2, 3, 0.0, sigma) == pytest.approx(
-        float(q_function(np.sqrt(8) / sigma)), rel=1e-12)
+    # M = (m+1) h looks: pep(p_flip=0) = Q(sqrt(M)/sigma), and with every
+    # look flipped, pep(p_flip=1) = Q(-sqrt(M)/sigma)
+    for p_flip, sign in ((0.0, 1.0), (1.0, -1.0)):
+        assert pep(2, 3, p_flip, sigma) == pytest.approx(
+            float(q_function(sign * np.sqrt(8) / sigma)), rel=1e-12)
 
 
 def test_pep_against_direct_sum():
@@ -244,7 +251,7 @@ def test_lower_bound_is_shifted_union_bound():
     iow = iowef_rc2()
     assert lower_bound(iow, 3, 2.0) == pytest.approx(
         union_bound(iow, 2.0 + 10 * np.log10(4)), rel=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m must be >= 0"):
         lower_bound(iow, -1, 2.0)
 
 
@@ -254,6 +261,8 @@ def test_validation_errors():
         find_gamma_target(iow, 0.7)
     with pytest.raises(ValueError):
         flip_probability(0.6, 3)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        flip_probability(0.1, -1)
     with pytest.raises(ValueError):
         pep(0, 2, 0.1, 1.0)
     for sigma in (-1.0, float("nan")):
@@ -265,3 +274,28 @@ def test_validation_errors():
             pep(1, 2, p_flip, 1.0)
     with pytest.raises(ValueError):
         shannon_limit_biawgn(1.0)
+    with pytest.raises(ValueError, match="basic code rate does not match requested rate"):
+        design_memory(1 / 3, 1e-5, iow)
+    with pytest.raises(ValueError, match="root not bracketed"):
+        _bisect_db(lambda g: 1.0, -1.0, 1.0)
+
+
+def test_union_bound_without_competitors_is_zero():
+    # only the zero codeword: no term with g >= 1 and h >= 1
+    assert union_bound(Iowef(K=1, N=2, coefficients={(0, 0): 1}), 2.0) == 0.0
+
+
+def test_shannon_limit_builds_each_quadrature_rule_once(monkeypatch):
+    built = Counter()
+    hermgauss = numpy.polynomial.hermite.hermgauss
+
+    def counted(nodes):
+        built[nodes] += 1
+        return hermgauss(nodes)
+
+    monkeypatch.setattr(numpy.polynomial.hermite, "hermgauss", counted)
+    analysis._hermgauss.cache_clear()
+    shannon_limit_biawgn.cache_clear()
+    assert shannon_limit_biawgn(0.5) == pytest.approx(0.187, abs=1e-3)
+    # about 21 capacities, each asking for 64 and 128 nodes or more
+    assert {64, 128} <= set(built) and set(built.values()) == {1}

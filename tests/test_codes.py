@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from math import comb
 
 import mpmath
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmst.codes import (FAMILIES, CodeError, code_extrinsic_llr, compute_iowef,
-                        encode_cartesian, make_code, make_repetition, make_spc,
-                        parse_code_spec, siso_map_decode)
+from bmst.codes import (FAMILIES, MAX_K, CartesianCode, CodeError, code_extrinsic_llr,
+                        compute_iowef, encode_cartesian, make_code, make_repetition,
+                        make_spc, parse_code_spec, siso_map_decode)
 from bmst.kernels import LLR_MAX
 
 HAMMING74 = [[1, 0, 0, 0, 1, 1, 0],
@@ -53,6 +54,21 @@ def test_make_code_is_generic_and_builders_set_kind():
 def test_make_code_rejects_large_k():
     with pytest.raises(CodeError):
         make_code(np.eye(25, dtype=np.uint8))
+
+
+def test_code_constructors_reject_bad_dimensions():
+    rc2 = make_repetition(2)
+    with pytest.raises(CodeError, match=f"K={MAX_K + 1} exceeds enumeration cap {MAX_K}"):
+        replace(rc2, K=MAX_K + 1, N=MAX_K + 2)
+    with pytest.raises(CodeError, match="K must not exceed N"):
+        replace(rc2, K=3)
+    with pytest.raises(CodeError, match="repetition code needs N >= 1"):
+        make_repetition(0)
+    with pytest.raises(CodeError, match="B must be >= 1"):
+        CartesianCode(short=rc2, B=0)
+    cart = parse_code_spec("SPC[4,3]^2")
+    with pytest.raises(CodeError, match=re.escape("message shape (2, 5) does not end in k=6")):
+        encode_cartesian(cart, np.zeros((2, 5), dtype=np.uint8))
 
 
 def test_iowef_rc2():

@@ -147,6 +147,16 @@ def test_encode_memory_is_a_few_bytes_per_frame_bit_whatever_m():
     assert peak <= 4 * sys_.total_blocks * sys_.n
 
 
+def test_system_constructors_reject_bad_dimensions():
+    with pytest.raises(ValueError, match="need n >= 1 and m >= 0"):
+        generate_interleavers(0, 1, 0)
+    basic = make_system("RC[2,1]^10", m=1, L=4, seed=0).basic  # n = 20
+    with pytest.raises(ValueError, match="interleaver length must equal basic code length"):
+        BmstSystem(basic=basic, interleavers=generate_interleavers(10, 1, 0), L=4)
+    with pytest.raises(ValueError, match="need L >= 1"):
+        BmstSystem(basic=basic, interleavers=generate_interleavers(20, 1, 0), L=0)
+
+
 def test_frame_rate():
     sys_ = make_system("RC[2,1]^10", m=2, L=8, seed=0)
     assert sys_.frame_rate == pytest.approx(0.5 * 8 / 10)

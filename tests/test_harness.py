@@ -352,3 +352,17 @@ def test_sweep_reruns_a_truncated_last_row(tmp_path):
     out.write_bytes(lines[0] + b"2.0,gad_perfect,400\r\n" + lines[2])
     with pytest.raises(ConfigError, match="r.csv line 2"):
         run_sweep(cfg, out_csv=out)
+
+
+def test_sweep_resume_refuses_a_csv_it_cannot_read(tmp_path):
+    # the sidecar matches, so the CSV itself is checked
+    cfg = small_cfg(ebn0_grid_db=(2.0, 3.0), min_bit_errors=10)
+    out = tmp_path / "r.csv"
+    run_sweep(cfg, out_csv=out)
+    header, *rows = out.read_bytes().splitlines(keepends=True)
+    out.write_bytes(header.replace(b"ebn0_db", b"snr_db") + b"".join(rows))
+    with pytest.raises(ConfigError, match="r.csv does not start with the results header"):
+        run_sweep(cfg, out_csv=out)
+    out.write_bytes(header + rows[0].replace(b"2.0,", b"two,", 1) + rows[1])
+    with pytest.raises(ConfigError, match="r.csv line 2: bad ebn0_db 'two'"):
+        run_sweep(cfg, out_csv=out)

@@ -36,6 +36,32 @@ def test_trace_site_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
 
 
+def test_every_trace_site_is_called(monkeypatch):
+    # a node kernel inlined into its caller would zero the benchmark's
+    # kernels and codes layers without an error; here it fails
+    sites = [f"{module}.{attr}" for module, attr in TRACE_SITES]
+    ran = []
+    for (module, attr), site in zip(TRACE_SITES, sites):
+        mod = importlib.import_module(module)
+
+        def counted(*args, _inner=getattr(mod, attr), _site=site, **kwargs):
+            ran.append(_site)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, counted)
+    calls = {}
+    for decoder, extra in [("swd", {}), ("tpd", {}), ("gad_perfect", {}),
+                           ("gad_flipped", {"p_genie": 0.05})]:
+        cfg = SimConfig(code="RC[2,1]^10", m=2, L=5, decoder=decoder,
+                        ebn0_grid_db=(2.0,), **extra)
+        simulate_frame(cfg, 2.0, 0, 0)
+        calls[decoder] = set(ran)
+        ran.clear()
+    assert set().union(*calls.values()) == set(sites)
+    for decoder in ("swd", "tpd"):
+        assert {"bmst.swd.leave_one_out_boxplus", "bmst.swd.code_extrinsic_llr"} <= calls[decoder]
+
+
 def test_tpd_frame_calls_the_traced_gad_sites(monkeypatch):
     calls = {"gad_cancel": 0, "gad_minimize": 0}
     correlations = []
