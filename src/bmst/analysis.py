@@ -114,13 +114,10 @@ def find_gamma_target(iowef, p_target):
         b = union_bound(iowef, g)
         return math.log(b) - math.log(p_target) if b > 0 else -math.inf
 
+    # ends: union_bound is 0, so f is -inf, once the SNR overflows (~3083 dB)
     lo, hi = -20.0, 20.0
-    for _ in range(20):
-        if f(hi) < 0:
-            break
+    while f(hi) >= 0:
         hi *= 1.5
-    else:
-        raise ValueError("could not bracket the target BER")
     return _bisect_db(f, lo, hi)
 
 

@@ -14,7 +14,7 @@ leave_one_out_boxplus takes its stack already in the phi domain
 (llr_to_phi), so a caller that keeps its messages there converts each
 message once, not at every read. phi(0) divides by zero and phi(tiny)
 overflows, each to the right inf; _phi_inplace, which every phi here goes
-through, silences both warnings itself.
+through, silences both warnings under an np.errstate decorator.
 
 The kernels on the message path (llr_to_phi, phi, leave_one_out_boxplus and
 the blockwise extrinsics) compute in the dtype they are given, float32 or
@@ -100,21 +100,19 @@ def phi(x):
     return _phi_inplace(np.array(float_array(x)))
 
 
+# the phi path's one error state: phi(0) divides by zero, phi(tiny) overflows
+@np.errstate(divide="ignore", over="ignore")
 def _phi_inplace(x):
-    # silences the divide and overflow warnings of phi(0) and phi(tiny)
-    with np.errstate(divide="ignore", over="ignore"):
-        np.expm1(x, out=x)
-        np.divide(_TYPED[x.dtype].two, x, out=x)
-        return np.log1p(x, out=x)
+    np.expm1(x, out=x)
+    np.divide(_TYPED[x.dtype].two, x, out=x)
+    return np.log1p(x, out=x)
 
 
 def clamp(x):
     """Clamp a float32 or float64 LLR array to +-LLR_MAX in place; returns
     it."""
     typed = _TYPED[x.dtype]
-    np.minimum(x, typed.llr_max, out=x)
-    np.maximum(x, typed.neg_llr_max, out=x)
-    return x
+    return x.clip(typed.neg_llr_max, typed.llr_max, out=x)
 
 
 def _or_sign(x, sign):

@@ -109,7 +109,7 @@ def binary_entropy_from_llr(llr):
 
 def hard_decision(llr):
     """LLR < 0 -> bit 1; ties (LLR == 0) resolve to bit 0."""
-    return (np.asarray(llr) < 0).astype(np.uint8)
+    return np.less(llr, 0).view(np.uint8)
 
 
 def window_stops(iters, i_max, entropy, stop_threshold, before, after):
@@ -167,9 +167,9 @@ class WindowDecoder:
 
     def _update_plus(self, s, first, last):
         """Superposition node of layer s; writes its messages to the
-        replication nodes of layers s-i, first <= i <= last."""
-        if first <= last:
-            leave_one_out_boxplus(self.e2p[s], first + 1, last + 2, out=self.p2e[s, first:last + 1])
+        replication nodes of layers s-i, first <= i <= last, a range never
+        empty (a backward plus(s) has m >= 1, te < s <= L+m-1 and te < L)."""
+        leave_one_out_boxplus(self.e2p[s], first + 1, last + 2, out=self.p2e[s, first:last + 1])
 
     @staticmethod
     def _from(a, t):
@@ -215,7 +215,8 @@ class WindowDecoder:
         eq_te = a, s_in, ext = self._eq_inputs(te)
         total = ext + s_in
         app = clamp(total)
-        return eq_te, app, (hard_decision(app), hard_decision(total - a))
+        # total < a is hard_decision(total - a) for these finite values
+        return eq_te, app, (hard_decision(app), np.less(total, a).view(np.uint8))
 
     def decode_step(self, te):
         """Run the window whose target (oldest) layer is te; emit it."""

@@ -149,6 +149,21 @@ def test_phi_matches_mpmath():
     assert np.array_equal(llr_to_phi(llr).view(np.uint64), ref.view(np.uint64))
 
 
+def test_phi_error_state_is_the_kernels_own():
+    # phi(0) divides by zero and phi(tiny) overflows, silently, under an
+    # outer state that raises on both, which each call leaves as it was
+    for dtype in (np.float32, np.float64):
+        x = np.array([0.0, np.finfo(dtype).smallest_subnormal, 100.0, np.inf], dtype=dtype)
+        stack = np.stack([x, x[::-1], x[[1, 2, 3, 0]]])
+        with np.errstate(divide="raise", over="raise"):
+            outer = np.geterr()
+            for call in (lambda: phi(x), lambda: llr_to_phi(x), lambda: llr_to_phi(-x),
+                         lambda: leave_one_out_boxplus(stack),
+                         lambda: leave_one_out_boxplus(stack, 1, 2)):
+                call()
+                assert np.geterr() == outer
+
+
 def _edge_llrs(rng, rows, n, dtype, edges):
     """LLRs of all scales, `edges` of them +-0, +-LLR_MAX, subnormals or
     beyond LLR_MAX (whose phi is subnormal or zero)."""
@@ -374,6 +389,24 @@ def test_window_stops_once_decisions_hold():
 
 def test_hard_decision_sign_and_ties():
     assert hard_decision(np.array([-0.1, 0.0, 0.1])).tolist() == [1, 0, 0]
+    rng = np.random.default_rng(7)
+    for dtype in (np.float32, np.float64):
+        word = f"u{np.dtype(dtype).itemsize}"
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, LLR_MAX, -LLR_MAX,
+                   tiny, -tiny, 64 * tiny, 39.5, -41.0, 1e30]
+        x = np.concatenate([special, rng.normal(0, 30, 51)]).astype(dtype)
+        # C-ordered and strided views of the same values
+        for v in (x.copy(), np.repeat(x, 2).reshape(-1, 2)[:, ::-2].T,
+                  np.repeat(x, 3)[1::3]):
+            assert np.array_equal(hard_decision(v), (v < 0).astype(np.uint8))
+            ref = np.maximum(np.minimum(v, LLR_MAX), -LLR_MAX).astype(dtype)
+            assert clamp(v) is v
+            assert np.array_equal(v.view(word), ref.view(word))
+        # _decide's branch decisions: total < a is the sign of total - a
+        fin = x[np.isfinite(x)]
+        total, a = fin[:, None], np.concatenate([fin, -fin, [0.0, -0.0]]).astype(dtype)
+        assert np.array_equal(np.less(total, a).view(np.uint8), hard_decision(total - a))
 
 
 def test_binary_entropy_from_llr():
