@@ -3,11 +3,12 @@ bisection, BI-AWGN Shannon limit, the memory design rule, and the
 (noisy-)genie-aided bound chain used to predict error floors far below what
 simulation can reach. Everything below 1e-300 is accumulated in log domain.
 
-The Gaussian tail, log-sum-exp and log-binomials are numpy and `math`
-alone: erfc from `math.erfc`, elementwise, and log Q(x) above x = 30 from
-its asymptotic series. The Gauss-Hermite rules of biawgn_capacity are built
-once per node count (_hermgauss), which imports numpy.polynomial on first
-use.
+The Gaussian tail, log-sum-exp, log-binomials and beta quantiles are numpy
+and `math` alone: erfc from `math.erfc`, elementwise, and log Q(x) above
+x = 30 from its asymptotic series; the beta quantiles behind the
+Clopper-Pearson limits invert the incomplete beta's continued fraction. The
+Gauss-Hermite rules of biawgn_capacity are built once per node count
+(_hermgauss), which imports numpy.polynomial on first use.
 """
 
 import math
@@ -269,3 +270,104 @@ def genie_floor(iowef, m, p_genie):
     by the side-information flips. At Eb/N0 = inf, sigma = 0 and each pep
     is a majority vote over its looks (ties count half)."""
     return genie_bound(iowef, m, p_genie, math.inf)
+
+
+# ---------------------------------------------------------------------------
+# beta quantiles, for the Clopper-Pearson limits
+# ---------------------------------------------------------------------------
+
+_EPS = 2.0 ** -52  # float64 machine epsilon
+# lgamma(z) - ((z - 1/2) log z - z + log sqrt(2 pi)) is
+# sum_k B_2k / (2k (2k-1) z^(2k-1)); six terms are within 1e-15 from z = 10
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+# below this x, the complement's continued fraction would lose about eps/x
+# to cancellation, so the upper tail is the binomial sum instead
+_HEAD_BELOW = 1e-4
+
+
+def _stirling_remainder(z):
+    """lgamma(z) less Stirling's (z - 1/2) log z - z + log sqrt(2 pi), z >= 1."""
+    if z < 10:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _LOG_SQRT_2PI
+    return sum(c * z ** (1 - 2 * k) for k, c in enumerate(_STIRLING, 1))
+
+
+def _log_front(a, b, x):
+    """log(x^a (1-x)^b / B(a, b)), B(a, b) by Stirling's formula: at a = 227
+    and b = 1e9, lgamma(b) and lgamma(a + b) are each 2e10, and their
+    difference would lose 4e-6."""
+    s = a + b
+    t = x * s - a  # s times the distance of x from the mean a/s
+    return (a * math.log1p(t / a) + b * math.log1p(-t / b) + 0.5 * math.log(a * b / s)
+            - _LOG_SQRT_2PI - _stirling_remainder(a) - _stirling_remainder(b)
+            + _stirling_remainder(s))
+
+
+def _beta_cf(a, b, x):
+    """The continued fraction 1 + d1/(1 + d2/(1 + ...)) that is
+    x^a (1-x)^b / (a B(a, b) I_x(a, b)), by the modified Lentz method."""
+    f = c = 1.0
+    d = 0.0
+    for j in range(1, 1_000_000):
+        m = j // 2
+        if j % 2:
+            dj = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            dj = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 / (1.0 + dj * d or 1e-300)
+        c = 1.0 + dj / c or 1e-300
+        f *= c * d
+        if abs(c * d - 1.0) <= _EPS:
+            return f
+    raise ArithmeticError(f"the continued fraction of I_x({a}, {b}) at x = {x} did not converge")
+
+
+def _binomial_head(a, b, x):
+    """(1 - I_x(a, b)) b x B(a, b) / (x^a (1-x)^b) for an integer a: the sum
+    P(Bin(a+b-1, x) < a) from its last term down, whose terms are positive
+    and, above the mean, fall geometrically."""
+    total = term = 1.0
+    r = (1.0 - x) / x
+    for i in range(a - 1):
+        term *= (a - 1 - i) * r / (b + 1 + i)
+        total += term
+        if term <= _EPS * total:
+            break
+    return total
+
+
+def beta_ppf(a, b, q):
+    """The q-quantile of a Beta(a, b) variable for integers a, b >= 1 and
+    0 < q < 1: the x at which the regularized incomplete beta I_x(a, b) is
+    q. Newton steps on I_x - q, kept inside a bisection bracket, from two
+    standard deviations out on q's side. tests/test_harness.py holds it to
+    1e-12 relative of 40-digit mpmath at a + b = 1e9."""
+    if a > b:  # solve for the quantile nearer 0, where x keeps its precision
+        return 1.0 - beta_ppf(b, a, 1.0 - q)
+    mean = a / (a + b)
+    x = min(mean * math.exp(math.copysign(2.0, q - 0.5) * math.sqrt(b / (a * (a + b + 1)))),
+            0.5 * (1.0 + mean))
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        front = math.exp(_log_front(a, b, x))
+        if x * (a + b + 2) < a + 1:  # below the mean, where the fraction converges fast
+            cdf = front / (a * _beta_cf(a, b, x))
+        elif x < _HEAD_BELOW:
+            cdf = 1.0 - front * _binomial_head(a, b, x) / (b * x)
+        else:
+            cdf = 1.0 - front / (b * _beta_cf(b, a, 1.0 - x))
+        if cdf == q:
+            return x
+        if cdf < q:
+            lo = x
+        else:
+            hi = x
+        # the slope of I_x is the density front / (x (1-x)); where the step
+        # leaves the bracket, or the density underflows, bisect
+        new = x - (cdf - q) * x * (1.0 - x) / front if front else lo
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - x) <= 1e-13 * new:
+            return new
+        x = new
+    raise ArithmeticError(f"beta_ppf({a}, {b}, {q}) did not converge")

@@ -146,11 +146,11 @@ def siso_map_decode(code, priors):
     priors: (N, 2) array, priors[j, v] = P(c_j = v).
     Returns (code_post, msg_post): (N, 2) posteriors over code bits and
     (K, 2) posteriors over message bits."""
-    from scipy.special import expit  # local: costs most of `import bmst`
     logp = np.log(_check_priors(code, priors))
     metric = np.where(code.codebook == 0, logp[:, 0], logp[:, 1]).sum(axis=1)
     llr = _bit_llrs(metric[None], np.hstack([code.codebook, code.codebook_msgs]))[0]
-    post = np.stack([expit(llr), expit(-llr)], axis=1)
+    # P(c = 0) = 1 / (1 + e^-llr), exact at +-inf (a constant bit)
+    post = np.exp(-np.stack([np.logaddexp(0.0, -llr), np.logaddexp(0.0, llr)], axis=1))
     return post[:code.N], post[code.N:]
 
 

@@ -162,17 +162,14 @@ class PointResult:
 RESULT_CSV_HEADER = [f.name for f in fields(PointResult)]
 
 
-# each tail of the 95% Clopper-Pearson interval: 0.025000000000000022, not 0.025
-_CI_TAIL = (1.0 - 0.95) / 2.0
-
-
 def clopper_pearson(errors, bits):
     """Exact binomial 95% confidence interval."""
-    from scipy.special import betaincinv  # local: costs most of `import bmst`
+    if not 0 <= errors <= bits:
+        raise ValueError(f"need 0 <= errors <= bits, got {errors} errors in {bits} bits")
     if bits == 0:
         return 0.0, 1.0
-    lo = 0.0 if errors == 0 else float(betaincinv(errors, bits - errors + 1, _CI_TAIL))
-    hi = 1.0 if errors == bits else float(betaincinv(errors + 1, bits - errors, 1.0 - _CI_TAIL))
+    lo = 0.0 if errors == 0 else analysis.beta_ppf(errors, bits - errors + 1, 0.025)
+    hi = 1.0 if errors == bits else analysis.beta_ppf(errors + 1, bits - errors, 0.975)
     return lo, hi
 
 

@@ -15,35 +15,45 @@ from bmst.codes import FAMILIES
 from bmst.harness import SimConfig, clopper_pearson
 
 
-def test_import_loads_no_scipy_stats():
-    # scipy.stats costs about a second of start-up for every CLI call and
-    # pool worker. scipy.special, the process pool and numpy.polynomial are
-    # imported by the calls that use them, so a process that only decodes
-    # loads none of them. The bound chain, all that design, bound and
-    # predict compute, is numpy and math alone and loads no scipy either
+def test_import_loads_no_scipy_stats(tmp_path):
+    # bmst runs on numpy alone: with every scipy import made to fail, one
+    # process runs simulate (a tiny tpd point), design, bound and predict,
+    # the genie floor, the interval and the SISO posteriors. The process
+    # pool and numpy.polynomial are imported by the calls that use them, so
+    # the seeded frame run first loads neither
     src = str(Path(bmst.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = """
-import sys, bmst, bmst.cli
+    cfgp = _write_config(tmp_path / "cfg.json", decoder="tpd", ebn0_grid_db=[2.0],
+                         max_bits=20_000)
+    code = f"""
+import sys
+sys.modules["scipy"] = None  # every import of scipy or a submodule now fails
+import bmst, bmst.cli
 from bmst import analysis
-from bmst.codes import compute_iowef, make_repetition
-from bmst.harness import SimConfig, clopper_pearson, predict_floor, simulate_frame
-def loaded(*prefixes):
-    return sorted(m for m in sys.modules if m.startswith(prefixes))
+from bmst.codes import compute_iowef, make_repetition, make_spc, siso_map_decode
+from bmst.harness import SimConfig, clopper_pearson, simulate_frame
 cfg = SimConfig(code="RC[2,1]^50", m=2, L=8, decoder="tpd", ebn0_grid_db=(2.0,), seed=4)
 simulate_frame(cfg, 2.0, 0, 0)
-print(loaded("scipy.stats", "scipy.special", "concurrent.futures.process", "numpy.polynomial"))
-iowef = compute_iowef(make_repetition(2))
-analysis.lower_bound(iowef, 2, 2.0), analysis.design_memory(0.5, 1e-15, iowef)
-analysis.genie_bound(iowef, 8, 2.5e-4, 1.5), analysis.genie_floor(iowef, 8, 1e-3)
-predict_floor("RC[2,1]^500", 8, 2.5e-4, 1.5)
-print(loaded("scipy.stats", "scipy.special"))
+print(sorted(m for m in sys.modules if m.startswith(("concurrent.futures.process",
+                                                       "numpy.polynomial"))))
+main = bmst.cli.main
+assert main(["simulate", {str(cfgp)!r}, "--out", {str(tmp_path / "res.csv")!r}]) == 0
+assert main(["design", "--rate", "1/2", "--target", "1e-15", "--family", "rc"]) == 0
+assert main(["bound", "--spec", "RC[2,1]^100", "--kind", "genie", "--m", "2",
+             "--grid", "1:1:2", "--p-genie", "1e-3"]) == 0
+assert main(["predict", "--spec", "RC[2,1]^500", "--m", "8", "--p1", "2.5e-4",
+             "--ebn0", "1.5"]) == 0
+analysis.genie_floor(compute_iowef(make_repetition(2)), 8, 1e-3)
+siso_map_decode(make_spc(4), [[0.9, 0.1], [0.6, 0.4], [0.5, 0.5], [0.2, 0.8]])
 print(repr(clopper_pearson(3, 1000)))
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split("\n")[:3] == ["[]", "[]", repr(clopper_pearson(3, 1000))]
+                         text=True, check=True).stdout.split("\n")
+    assert out[0] == "[]"
+    assert out[-2] == repr(clopper_pearson(3, 1000))
+    rows = list(csv.DictReader((tmp_path / "res.csv").open()))
+    assert len(rows) == 1 and int(rows[0]["errors"]) >= 10
 
 
 def test_parse_rate():

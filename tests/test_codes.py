@@ -107,6 +107,9 @@ def test_siso_map_hand_computed():
     post, msg_post = siso_map_decode(rc, [[0.9, 0.1], [0.6, 0.4]])
     assert np.allclose(post[0], [0.54 / 0.58, 0.04 / 0.58])
     assert np.allclose(msg_post[0], [0.54 / 0.58, 0.04 / 0.58])
+    # a constant bit has an infinite LLR and an exact posterior, no warning
+    post, _ = siso_map_decode(make_code([[1, 0]]), [[0.9, 0.1], [0.6, 0.4]])
+    assert post[1].tolist() == [1.0, 0.0]
     # the extrinsic LLR of bit 0 leaves out its own prior: log(.6 / .4)
     ext = code_extrinsic_llr(make_code([[1, 1]]), [np.log(9.0), np.log(1.5)])
     assert ext[0] == pytest.approx(np.log(1.5), abs=1e-12)
