@@ -57,15 +57,16 @@ def _enumerate_codebook(generator):
 
 
 def make_code(generator):
-    """Build a ShortCode from a K x N binary generator matrix. Its SISO
-    path enumerates the codebook; the closed forms are the FAMILIES'."""
+    """Build a ShortCode from a K x N binary generator [I_K | P], systematic
+    because the window decoder reads the first K bits of a block as its
+    message. Its SISO path enumerates the codebook; the closed forms are the FAMILIES'."""
     generator = np.asarray(generator, dtype=np.uint8) % 2
     k, n = generator.shape
     if k > MAX_K:
         raise CodeError(f"K={k} exceeds enumeration cap {MAX_K}")
+    if not np.array_equal(generator[:, :k], np.eye(k, dtype=np.uint8)):
+        raise CodeError("generator is not systematic: its first K columns are not I_K")
     msgs, cws = _enumerate_codebook(generator)
-    if len({cw.tobytes() for cw in cws}) != 2 ** k:
-        raise CodeError("generator is not full rank: duplicate codewords")
     return ShortCode(N=n, K=k, generator=generator, codebook_msgs=msgs, codebook=cws)
 
 

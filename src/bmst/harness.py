@@ -48,8 +48,18 @@ class ConfigError(ValueError):
     pass
 
 
+# what a value of each declared field type must be; the least of each int field
+_KINDS = {int: "an integer", float: "a real number", str: "a string",
+          tuple: "a non-empty list of finite, distinct values"}
+_INT_LEAST = {"m": 0, "L": 1, "d": -1, "i_max": 1, "min_bit_errors": 1, "max_bits": 1,
+              "seed": 0, "workers": 1}
+
+
 @dataclass(frozen=True)
 class SimConfig:
+    """One seeded experiment, each field checked by its declared type. d = -1 is
+    stored as 3m, so dataclasses.replace(cfg, m=...) keeps the old d."""
+
     code: str
     m: int
     L: int
@@ -66,53 +76,43 @@ class SimConfig:
     stop_threshold: float = STOP_THRESHOLD
 
     def __post_init__(self):
+        # An integer-valued numpy scalar becomes an int and a number a float, so
+        # that the content hash serializes them and 0 and 0.0 name the same
+        # results. A bool, or a str where no str is due, would run as something
+        # else: a string grid one point per character. Resume keys rows by Eb/N0
+        # alone, so a repeated value would be skipped with its twin.
+        for f in fields(self):
+            raw = getattr(self, f.name)
+            if f.type not in _KINDS:  # a string annotation lands here too
+                raise TypeError(f"SimConfig.{f.name} has type {f.type!r}, which no check knows")
+            try:
+                if isinstance(raw, bool) or isinstance(raw, str) != (f.type is str):
+                    raise TypeError
+                if f.type is int:
+                    value = operator.index(raw)
+                elif f.type is tuple:  # ebn0_grid_db
+                    value = tuple(float(g) for g in raw)
+                    if not all(map(math.isfinite, value)) or not 0 < len(set(value)) == len(value):
+                        raise ValueError
+                else:
+                    value = f.type(raw)
+            except (TypeError, ValueError):
+                raise ConfigError(f"need {f.name} {_KINDS[f.type]}, got {raw!r}") from None
+            if f.type is int and value < _INT_LEAST[f.name]:
+                raise ConfigError(f"need {f.name} >= {_INT_LEAST[f.name]}, got {value}")
+            object.__setattr__(self, f.name, value)
         if self.decoder not in DECODERS:
             raise ConfigError(f"decoder must be one of {DECODERS}")
-        # a float field hashes as its float, so that 0 and 0.0 name the same
-        # results; a bool or str would run as something else
-        for name in ("p_genie", "max_seconds", "stop_threshold"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, (bool, str)):
-                    raise TypeError
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"need {name} a real number, got {value!r}") from None
-            object.__setattr__(self, name, value)
         if self.decoder == "gad_flipped" and not 0.0 <= self.p_genie <= 0.5:
             raise ConfigError("gad_flipped needs p_genie in [0, 0.5]")
-        # a string would run one point per character; resume keys rows by
-        # Eb/N0 alone, so a repeated value would be skipped with its twin
-        grid = self.ebn0_grid_db
-        grid = () if isinstance(grid, str) else tuple(float(g) for g in grid)
-        if not grid or not all(map(math.isfinite, grid)) or len(set(grid)) < len(grid):
-            raise ConfigError("need ebn0_grid_db a non-empty list of finite, distinct "
-                              f"values, got {self.ebn0_grid_db!r}")
-        object.__setattr__(self, "ebn0_grid_db", grid)
-        # an integer-valued numpy scalar becomes an int, so that the content
-        # hash can serialize it; a bool or float would run as something else
-        for name, low in (("m", 0), ("L", 1), ("d", -1), ("i_max", 1), ("min_bit_errors", 1),
-                          ("max_bits", 1), ("seed", 0), ("workers", 1)):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                value = operator.index(value)
-            except TypeError:
-                raise ConfigError(f"need {name} an integer, got {value!r}") from None
-            if value < low:
-                raise ConfigError(f"need {name} >= {low}, got {value}")
-            object.__setattr__(self, name, value)
         # a NaN threshold would never stop the iterations early
         if not math.isfinite(self.stop_threshold):
             raise ConfigError(f"need stop_threshold finite, got {self.stop_threshold!r}")
-        if self.decoder == "tpd" and self.delay < self.m:
+        if self.d == -1:
+            object.__setattr__(self, "d", 3 * self.m)
+        if self.decoder == "tpd" and self.d < self.m:
             raise ConfigError("TPD needs d >= m")
         parse_code_spec(self.code)  # validate spec string early
-
-    @property
-    def delay(self):
-        return 3 * self.m if self.d < 0 else self.d
 
     def to_dict(self):
         d = asdict(self)
@@ -123,13 +123,10 @@ class SimConfig:
         """Identity of the results: every field that affects them, plus the
         results version of the code. The worker count changes no result,
         and nor does a decoder parameter that cfg.decoder does not read.
-        The delay d hashes as the window it runs, so d = -1 and d = 3m
-        name the same results."""
+        d = -1 is stored as 3m, so the two name the same results."""
         unread = {p for params in DECODER_PARAMS.values() for p in params}
         unread = unread.difference(DECODER_PARAMS[self.decoder]) | {"workers"}
         d = {k: v for k, v in self.to_dict().items() if k not in unread}
-        if "d" in d:
-            d["d"] = self.delay
         d["results_version"] = RESULTS_VERSION
         blob = json.dumps(d, sort_keys=False).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -204,13 +201,13 @@ def simulate_frame(cfg, ebn0_db, point_idx, frame_idx):
 
     out = FrameCounts(bits=sys.L * sys.k)
     if cfg.decoder == "swd":
-        res = decode_frame_swd(sys, channel_llr(y, sigma), cfg.delay, cfg.i_max,
+        res = decode_frame_swd(sys, channel_llr(y, sigma), cfg.d, cfg.i_max,
                                cfg.stop_threshold)
         u_hat = res.u_hat
         out.iters = int(res.iterations.sum())
         out.layers = sys.L
     elif cfg.decoder == "tpd":
-        u_hat, phase1 = decode_frame_tpd(sys, y, sigma, cfg.delay, cfg.i_max,
+        u_hat, phase1 = decode_frame_tpd(sys, y, sigma, cfg.d, cfg.i_max,
                                          cfg.stop_threshold)
         out.p1_bits = phase1.w_tilde.size
         out.p1_errors = int(np.count_nonzero(phase1.w_tilde != v[:, None]))

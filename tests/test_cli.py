@@ -196,12 +196,16 @@ def test_bound_grid_with_a_negative_start(tmp_path):
     assert [r["ebn0_db"] for r in rows] == ["-1", "-0.5", "0"]
 
 
-def _write_config(path, **over):
+def _config_doc(**over):
     doc = dict(schema_version=1, code="RC[2,1]^20", m=1, L=4,
                decoder="gad_perfect", ebn0_grid_db=[4.0],
                min_bit_errors=10, max_bits=50_000)
     doc.update(over)
-    path.write_text(json.dumps(doc))
+    return doc
+
+
+def _write_config(path, **over):
+    path.write_text(json.dumps(_config_doc(**over)))
     return path
 
 
@@ -227,16 +231,28 @@ def test_config_naming_every_field_loads(tmp_path):
     assert load_config(cfgp).to_dict() == doc
 
 
-def test_simulate_rejects_unknown_field(tmp_path):
-    cfgp = _write_config(tmp_path / "cfg.json", bogus=1)
-    assert main(["simulate", str(cfgp)]) == 1
+# JSON documents that are no config: the wrong top level, a field of the
+# wrong JSON type, an unknown field and a missing one
+MALFORMED_CONFIGS = {
+    "top-level-5": 5, "top-level-null": None, "top-level-list": [],
+    "code-5": _config_doc(code=5), "code-null": _config_doc(code=None),
+    "code-list": _config_doc(code=["RC[2,1]^20"]), "m-string": _config_doc(m="2"),
+    "grid-object": _config_doc(ebn0_grid_db={"a": 1}), "seed-null": _config_doc(seed=None),
+    "p_genie-string": _config_doc(p_genie="x"), "unknown-field": _config_doc(bogus=1),
+    "missing-field": {k: v for k, v in _config_doc().items() if k != "decoder"},
+}
 
 
-def test_simulate_rejects_missing_field(tmp_path):
-    doc = json.loads(_write_config(tmp_path / "cfg.json").read_text())
-    del doc["decoder"]
-    (tmp_path / "cfg.json").write_text(json.dumps(doc))
-    assert main(["simulate", str(tmp_path / "cfg.json")]) == 1
+@pytest.mark.parametrize("doc", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS)
+def test_simulate_refuses_malformed_config_with_one_error_line(tmp_path, capsys, doc):
+    # exit code 1 is a usage or config error: one line, no traceback, no files
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(doc))
+    out = tmp_path / "res.csv"
+    assert main(["simulate", str(cfgp), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "res.config.json").exists()
 
 
 def test_simulate_refuses_unrunnable_config_before_writing(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -42,7 +43,8 @@ def test_config_validation():
     *(pytest.param("ebn0_grid_db", grid, id=f"ebn0_grid_db-{name}")
       for name, grid in (("nan", (math.nan,)), ("inf", (math.inf,)),
                          ("-inf", (2.0, -math.inf)), ("repeated", (4.0, 3.0, 4.0)),
-                         ("signed-zero", (0.0, -0.0)), ("string", "12"))),
+                         ("signed-zero", (0.0, -0.0)), ("string", "12"),
+                         ("letters", ["x"]), ("mapping", {"a": 1}), ("number", 5))),
     ("seed", -1), ("m", 2.5), ("L", 3.5), ("seed", 1.5), ("d", 4.5), ("i_max", 2.5),
     ("m", True), ("workers", "2"), ("stop_threshold", math.nan),
     ("stop_threshold", -math.inf)])
@@ -53,6 +55,23 @@ def test_config_rejects_values_that_cannot_run(field, value):
             else "finite" if field == "stop_threshold"
             else "an integer" if isinstance(value, (bool, float, str)) else ">= ")
     with pytest.raises(ConfigError, match=f"need {field} {rule}"):
+        small_cfg(**{field: value})
+
+
+@pytest.mark.parametrize("kind", ["int", list])
+def test_config_refuses_a_field_type_it_cannot_check(kind):
+    # a string annotation, as from __future__ import annotations, or a type
+    # with no check fails every construction; none is let through unchecked
+    extra = dataclasses.make_dataclass("Extra", [("extra", kind, dataclasses.field(default=1))],
+                                       bases=(SimConfig,), frozen=True)
+    with pytest.raises(TypeError, match="extra has type"):
+        extra(code="RC[2,1]^20", m=1, L=4, decoder="swd", ebn0_grid_db=(4.0,))
+
+
+@pytest.mark.parametrize("field", ["code", "decoder"])
+@pytest.mark.parametrize("value", [5, None, ["RC[2,1]^20"], True])
+def test_str_fields_refuse_other_types(field, value):
+    with pytest.raises(ConfigError, match=f"need {field} a string"):
         small_cfg(**{field: value})
 
 
@@ -111,14 +130,14 @@ def test_content_hash_covers_only_the_fields_the_decoder_reads():
 @pytest.mark.parametrize("decoder", ["swd", "tpd"])
 def test_default_delay_hashes_as_the_window_it_runs(decoder):
     default = small_cfg(decoder=decoder, m=2)  # d = -1 runs d = 3m
-    assert default.delay == 6
+    assert default.d == 6
     assert default.content_hash() == small_cfg(decoder=decoder, m=2, d=6).content_hash()
     assert default.content_hash() != small_cfg(decoder=decoder, m=2, d=7).content_hash()
 
 
 def test_default_delay_is_three_m():
-    assert small_cfg(m=4, decoder="swd").delay == 12
-    assert small_cfg(d=7).delay == 7
+    assert small_cfg(m=4, decoder="swd").d == 12
+    assert small_cfg(d=7).d == 7
 
 
 def test_clopper_pearson():
@@ -343,6 +362,29 @@ def test_results_version_pins_seeded_results():
     assert h.hexdigest() == RESULTS_DIGESTS.get(RESULTS_VERSION), (
         "seeded results differ from those that RESULTS_VERSION names: bump "
         "bmst.harness.RESULTS_VERSION and pin the new digest here")
+
+
+# The resume identity of a config per decoder, a default d = -1 among them,
+# at results version 5: a change to how content_hash serializes a config
+# would make every existing CSV refuse to resume.
+CONTENT_HASHES = [
+    (dict(decoder="swd", code="SPC[4,3]^10", m=2, d=4, max_seconds=30),
+     "7ddeb9d68943ef5fd6a2d280ebfeb5a5a627e91eec91077368933d8e4640abad"),
+    (dict(decoder="tpd", code="RC[2,1]^20", m=2),
+     "36817cd05305d8015515f223fee9b4b5f26895ab3664ff56f386682c4eda13b2"),
+    (dict(decoder="gad_perfect", code="RC[2,1]^20", m=2, d=5),
+     "6364343c2253ab99874f5679312cad44bc96c1056fa9fc49160b7dc7a22c1a38"),
+    (dict(decoder="gad_flipped", code="SPC[4,3]^10", m=2, p_genie=0.02, i_max=4),
+     "0b917d88705ea01da382d7caa14f9844ec4c43b157958cbd67654c2c8fa58507"),
+]
+
+
+@pytest.mark.parametrize("over, digest", CONTENT_HASHES,
+                         ids=[over["decoder"] for over, _ in CONTENT_HASHES])
+def test_content_hash_is_pinned(monkeypatch, over, digest):
+    monkeypatch.setattr("bmst.harness.RESULTS_VERSION", 5)
+    cfg = SimConfig(L=6, ebn0_grid_db=(1.0, 3.0), seed=4, **over)
+    assert cfg.content_hash() == digest
 
 
 def test_sweep_resumes_with_another_worker_count(tmp_path):
