@@ -210,6 +210,8 @@ def encode_cartesian(cart, message):
     lead = message.shape[:-1]
     if message.shape[-1:] != (cart.k,):
         raise CodeError(f"message shape {message.shape} does not end in k={cart.k}")
+    if message.max(initial=0) > 1:
+        raise CodeError("message bits must be 0 or 1")
     blocks = message.reshape(*lead, cart.B, cart.short.K)
     return ((blocks @ cart.short.generator) % 2).astype(np.uint8).reshape(*lead, cart.n)
 

@@ -8,8 +8,11 @@ The leave-one-out kernels work in the phi domain (Fossorier, Mihaljevic &
 Imai 1999): with phi(x) = -log(tanh(x/2)), which is its own inverse on
 x >= 0, the boxplus of several LLRs has magnitude phi(sum of phi(|llr|))
 and the sign of the product of their signs. This is exact, like the tanh
-rule. boxplus_numpy is the pairwise form of the same rule and serves as the
-elementwise oracle; the kernels agree with it to 1e-12 in LLR.
+rule. Every leave-one-out sum here, of phi terms or of repetition-code
+LLRs, is an exclusive prefix sum plus an exclusive suffix sum, with no
+subtraction. boxplus_numpy is the pairwise form of the rule and the exact
+oracle: within 4e-16 * max(1, |value|) of 50-digit mpmath, absolute near
+zero, where its corrections cancel. The kernels agree with it to 1e-12.
 leave_one_out_boxplus takes its stack already in the phi domain
 (llr_to_phi), so a caller that keeps its messages there converts each
 message once, not at every read. phi(0) divides by zero and phi(tiny)
@@ -66,19 +69,14 @@ _TYPED = {np.dtype(t): _typed(t) for t in (np.float32, np.float64)}
 # Kept for the benchmark's run record; there is no compiled kernel path.
 NUMBA_ENABLED = False
 
-# correction terms log1p(exp(-x)) are dropped for x above this: at 30 they
-# are ~9e-14, below double-precision relevance on the LLR scale
-_BP_CORR_CUT = 30.0
-
 
 def boxplus_numpy(a, b):
-    """Elementwise boxplus of two LLR arrays (not clamped)."""
+    """Elementwise boxplus of two LLR arrays (not clamped), exact to double
+    precision: the exp of each correction term underflows to the true 0."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     out = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    for x, sgn in ((np.abs(a + b), 1.0), (np.abs(a - b), -1.0)):
-        out = out + sgn * np.where(x < _BP_CORR_CUT, np.log1p(np.exp(-np.minimum(x, _BP_CORR_CUT))), 0.0)
-    return out
+    return out + (np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b))))
 
 
 def boxplus_scalar(a, b):
@@ -184,25 +182,19 @@ def leave_one_out_boxplus(stack, lo=0, hi=None, out=None):
 
 
 def blockwise_loo_sum(llr, block):
-    """Leave-one-out sum within consecutive blocks of `block` bits.
-
-    This is the extrinsic SISO update of a repetition code: every code bit
-    equals the message bit, so the extrinsic LLR of bit j is the sum of the
-    other bits' LLRs in its block."""
+    """Leave-one-out sum within consecutive blocks of `block` bits, clamped:
+    the extrinsic SISO update of a repetition code, whose code bits all
+    equal the message bit. Bit j's is the exclusive suffix plus the
+    exclusive prefix sum of its block; for block 2, the partner's LLR
+    exactly, -0 read as +0."""
     llr = float_array(llr)
     x = llr.reshape(-1, block)
-    if block < 8:
-        # the same left-to-right sum as x.sum(axis=1), which adds fewer
-        # than 8 terms in order but runs its reduction loop once per block;
-        # whole columns add and subtract in one loop each
-        total = x[:, 0]
-        for j in range(1, block):
-            total = total + x[:, j]
-        ext = np.empty(x.shape, dtype=x.dtype)
-        for j in range(block):
-            np.subtract(total, x[:, j], out=ext[:, j])
-    else:
-        ext = x.sum(axis=1, keepdims=True) - x
+    ext = np.zeros(x.shape, dtype=x.dtype)
+    for j in range(block - 1, 0, -1):
+        np.add(ext[:, j], x[:, j], out=ext[:, j - 1])
+    for j in range(1, block):
+        pre = x[:, 0] if j == 1 else pre + x[:, j - 1]
+        np.add(ext[:, j], pre, out=ext[:, j])
     return clamp(ext).reshape(llr.shape)
 
 

@@ -140,6 +140,8 @@ class WindowDecoder:
         llrs = float_array(llrs)
         if llrs.shape != (T, sys.n):
             raise ValueError(f"expected channel LLRs of shape {(T, sys.n)}")
+        if np.isnan(llrs).any():
+            raise ValueError("channel LLRs contain NaN")
         if d < 0 or i_max < 1:
             raise ValueError("need d >= 0 and i_max >= 1")
         self.sys = sys

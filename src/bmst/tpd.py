@@ -48,6 +48,10 @@ def gad_cancel(sys, y, words):
         raise SideInfoError(f"received frame shape {y.shape} != {(T, n)}")
     if words.shape != (L, m + 1, n):
         raise SideInfoError(f"side info shape {words.shape} != {(L, m + 1, n)}")
+    if np.isnan(y).any():
+        raise SideInfoError("received frame y contains NaN")
+    if words.max(initial=0) > 1:
+        raise SideInfoError("side information words must be bits, 0 or 1")
     # times +-1 is an exact sign flip; int8, since 1 - 2 * uint8 wraps
     stripped = y * (1 - 2 * superpose(sys, words).view(np.int8))
     r = np.zeros((L, n))

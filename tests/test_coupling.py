@@ -56,6 +56,15 @@ def test_termination_blocks_must_be_zero():
         encode_frame(sys_, [[1, 1, 0, 0], [1, 0, 0, 0]])
 
 
+def test_encoders_refuse_message_bits_other_than_0_and_1():
+    # a bit of 2 would encode as 0: the generator product is taken mod 2
+    sys_ = _identity_system(m=1, L=2)
+    with pytest.raises(CodeError, match="0 or 1"):
+        encode_frame(sys_, [[1, 0, 2, 0], [0, 1, 1, 0]])
+    with pytest.raises(CodeError, match="0 or 1"):
+        encode_cartesian(sys_.basic, np.array([[1, 0, 1, 3]]))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_superpose_matches_direct_loop(L, m, B, seed):

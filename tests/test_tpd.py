@@ -164,6 +164,20 @@ def test_side_info_shape_validation():
     assert gad_cancel(sys_, np.zeros((4, 8)), good).shape == (3, 8)
 
 
+def test_gad_refuses_values_outside_its_domain():
+    # a word of 2 would scale its correlations by 1 - 2*2 = -3
+    sys_ = bmst.make_system("RC[2,1]^4", 1, 3, 0)
+    y, words = np.zeros((4, 8)), np.zeros((3, 2, 8), dtype=np.uint8)
+    words[1, 0, 5] = 2
+    with pytest.raises(SideInfoError, match="0 or 1"):
+        gad_cancel(sys_, y, words)
+    with pytest.raises(SideInfoError, match="0 or 1"):
+        gad_cancel(sys_, y, -words.astype(np.int64))
+    y[2, 3] = np.nan
+    with pytest.raises(SideInfoError, match="NaN"):
+        gad_cancel(sys_, y, np.zeros_like(words))
+
+
 def test_gad_refuses_side_info_with_tail_layers():
     # side information covers the L data layers only: the tail's zero
     # words are known to every decoder, not reported by a genie
