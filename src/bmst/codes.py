@@ -1,13 +1,13 @@
 """Short binary block codes, Cartesian products, IOWEFs and SISO MAP decoding.
 
-Codes are defined by a systematic generator matrix together with the full
-codebook (all 2^K message/codeword pairs), which keeps the MAP decoder (a
-log-domain enumeration of the codebook) and the weight enumerator exact. K
-is capped at 24 to bound the enumeration.
+A code is its systematic generator [I_K | P]; N, K and the full codebook,
+whose codewords' first K bits are their messages, are derived from it. The
+codebook keeps the MAP decoder (a log-domain enumeration of the codebook)
+and the weight enumerator exact. K is capped at 24 to bound the enumeration.
 """
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -22,65 +22,62 @@ class CodeError(ValueError):
     pass
 
 
+def as_bits(x, what, error=CodeError):
+    """x as a uint8 array, once every value is exactly 0 or 1: a cast first
+    would read 256 or 0.5 as 0. A uint8 array costs one max pass."""
+    x = np.asarray(x)
+    if not (x.max(initial=0) <= 1 if x.dtype == np.uint8 else np.all((x == 0) | (x == 1))):
+        raise error(f"{what} must be 0 or 1")
+    return x.astype(np.uint8, copy=False)
+
+
 @dataclass(frozen=True)
 class ShortCode:
-    """A binary [N, K] block code with explicit codebook.
+    """A binary [N, K] block code, given by its K x N generator [I_K | P]:
+    the window decoder reads a block's first K bits as its message. N, K
+    and the codebook, the codewords of all K-bit messages in lexicographic
+    order (bit 0 most significant), are derived from it. kind ("generic" or
+    the FAMILIES key of its builder) selects the SISO path; it is set, not
+    derived: RC[2,1] and SPC[2,1] share a generator, but their closed forms
+    round off differently."""
 
-    codebook_msgs rows are all K-bit messages in lexicographic order
-    (bit 0 most significant), codebook rows are the matching codewords.
-    kind ("generic" or the FAMILIES key of its builder) selects the SISO path.
-    """
-
-    N: int
-    K: int
     generator: np.ndarray
-    codebook_msgs: np.ndarray = field(repr=False)
-    codebook: np.ndarray = field(repr=False)
     kind: str = "generic"
+    N: int = field(init=False)
+    K: int = field(init=False)
+    codebook: np.ndarray = field(init=False, repr=False)
 
     @property
     def rate(self):
         return self.K / self.N
 
+    @property
+    def codebook_msgs(self):
+        return self.codebook[:, :self.K]
+
     def __post_init__(self):
-        if self.K > MAX_K:
-            raise CodeError(f"K={self.K} exceeds enumeration cap {MAX_K}")
-        if self.K > self.N:
-            raise CodeError("K must not exceed N")
-
-
-def _enumerate_codebook(generator):
-    k, n = generator.shape
-    msgs = ((np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)
-    cws = (msgs @ generator) % 2
-    return msgs, cws.astype(np.uint8)
+        g = as_bits(self.generator, "generator entries").copy()  # not the caller's array
+        k, n = g.shape
+        if k > MAX_K:
+            raise CodeError(f"K={k} exceeds enumeration cap {MAX_K}")
+        if not np.array_equal(g[:, :k], np.eye(k, dtype=np.uint8)):
+            raise CodeError("generator is not systematic: its first K columns are not I_K")
+        msgs = ((np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)
+        for name, value in (("generator", g), ("N", n), ("K", k), ("codebook", msgs @ g % 2)):
+            object.__setattr__(self, name, value)
 
 
 def make_code(generator):
-    """Build a ShortCode from a K x N binary generator [I_K | P], systematic
-    because the window decoder reads the first K bits of a block as its
-    message. Its SISO path enumerates the codebook; the closed forms are the FAMILIES'."""
-    generator = np.asarray(generator, dtype=np.uint8) % 2
-    k, n = generator.shape
-    if k > MAX_K:
-        raise CodeError(f"K={k} exceeds enumeration cap {MAX_K}")
-    if not np.array_equal(generator[:, :k], np.eye(k, dtype=np.uint8)):
-        raise CodeError("generator is not systematic: its first K columns are not I_K")
-    msgs, cws = _enumerate_codebook(generator)
-    return ShortCode(N=n, K=k, generator=generator, codebook_msgs=msgs, codebook=cws)
-
-
-def _family_code(generator, kind):
-    # set, not derived from the generator: RC[2,1] and SPC[2,1] share
-    # theirs, but their closed forms round off differently
-    return replace(make_code(generator), kind=kind)
+    """The generic ShortCode of a systematic generator [I_K | P]: its SISO
+    path enumerates the codebook; the closed forms are the FAMILIES'."""
+    return ShortCode(generator)
 
 
 def make_repetition(N):
     """The [N, 1] repetition code (all-ones generator row)."""
     if N < 1:
         raise CodeError("repetition code needs N >= 1")
-    return _family_code(np.ones((1, N)), "rc")
+    return ShortCode(np.ones((1, N)), "rc")
 
 
 def make_spc(N):
@@ -88,7 +85,7 @@ def make_spc(N):
     bit last (XOR of the message bits)."""
     if not 2 <= N <= MAX_K + 1:
         raise CodeError(f"SPC code needs 2 <= N <= {MAX_K + 1}")
-    return _family_code(np.hstack([np.eye(N - 1), np.ones((N - 1, 1))]), "spc")
+    return ShortCode(np.hstack([np.eye(N - 1), np.ones((N - 1, 1))]), "spc")
 
 
 FAMILIES = {"rc": make_repetition, "spc": make_spc}  # spec name -> builder, given N
@@ -146,13 +143,13 @@ def siso_map_decode(code, priors):
 
     priors: (N, 2) array, priors[j, v] = P(c_j = v).
     Returns (code_post, msg_post): (N, 2) posteriors over code bits and
-    (K, 2) posteriors over message bits."""
+    (K, 2) posteriors over message bits, the first K code bits."""
     logp = np.log(_check_priors(code, priors))
     metric = np.where(code.codebook == 0, logp[:, 0], logp[:, 1]).sum(axis=1)
-    llr = _bit_llrs(metric[None], np.hstack([code.codebook, code.codebook_msgs]))[0]
+    llr = _bit_llrs(metric[None], code.codebook)[0]
     # P(c = 0) = 1 / (1 + e^-llr), exact at +-inf (a constant bit)
     post = np.exp(-np.stack([np.logaddexp(0.0, -llr), np.logaddexp(0.0, llr)], axis=1))
-    return post[:code.N], post[code.N:]
+    return post, post[:code.K]
 
 
 def code_extrinsic_llr(code, llr):
@@ -203,15 +200,17 @@ class CartesianCode:
         if self.B < 1:
             raise CodeError("B must be >= 1")
 
+    def systematic(self, x):
+        """Each block's first K of n codeword values x: its message bits."""
+        return x.reshape(self.B, self.short.N)[:, :self.short.K].reshape(-1)
+
 
 def encode_cartesian(cart, message):
     """Codewords of (..., k) message bits: (..., n), blockwise."""
-    message = np.asarray(message, dtype=np.uint8)
+    message = as_bits(message, "message bits")
     lead = message.shape[:-1]
     if message.shape[-1:] != (cart.k,):
         raise CodeError(f"message shape {message.shape} does not end in k={cart.k}")
-    if message.max(initial=0) > 1:
-        raise CodeError("message bits must be 0 or 1")
     blocks = message.reshape(*lead, cart.B, cart.short.K)
     return ((blocks @ cart.short.generator) % 2).astype(np.uint8).reshape(*lead, cart.n)
 

@@ -22,11 +22,11 @@ from .codes import CartesianCode, CodeError, encode_cartesian, parse_code_spec
 
 @dataclass(frozen=True)
 class InterleaverSet:
-    m: int
-    n: int
-    seed: int
-    perms: np.ndarray = field(repr=False)  # (m+1, n) int64
-    invs: np.ndarray = field(repr=False)   # (m+1, n) int64
+    """The (m+1, n) int64 interleavers perms, as above, and their inverses
+    invs; a system reads its m and n off perms.shape."""
+
+    perms: np.ndarray = field(repr=False)
+    invs: np.ndarray = field(repr=False)
 
 
 def generate_interleavers(n, m, seed):
@@ -38,7 +38,7 @@ def generate_interleavers(n, m, seed):
     for i in range(1, m + 1):
         perms[i] = rng.permutation(n)
     invs = np.argsort(perms, axis=1)
-    return InterleaverSet(m=m, n=n, seed=seed, perms=perms, invs=invs)
+    return InterleaverSet(perms=perms, invs=invs)
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class BmstSystem:
 
     @property
     def m(self):
-        return self.interleavers.m
+        return len(self.interleavers.perms) - 1
 
     @property
     def n(self):
@@ -70,7 +70,7 @@ class BmstSystem:
         return self.k * self.L / (self.n * (self.L + self.m))
 
     def __post_init__(self):
-        if self.interleavers.n != self.basic.n:
+        if self.interleavers.perms.shape[1] != self.basic.n:
             raise ValueError("interleaver length must equal basic code length")
         if self.L < 1:
             raise ValueError("need L >= 1")
@@ -100,7 +100,7 @@ def encode_frame(sys, messages, return_intermediate=False):
     messages: (L, k) bits. Returns (L+m, n) transmitted bits
     c^(t) = XOR_i v^(t-i) permuted by perms[i]; with
     return_intermediate=True also the (L, n) intermediate codewords v."""
-    messages = np.asarray(messages, dtype=np.uint8)
+    messages = np.asarray(messages)
     if messages.shape != (sys.L, sys.k):
         raise CodeError(f"expected {(sys.L, sys.k)} message bits, got {messages.shape}")
     v = encode_cartesian(sys.basic, messages)

@@ -112,7 +112,14 @@ class SimConfig:
             object.__setattr__(self, "d", 3 * self.m)
         if self.decoder == "tpd" and self.d < self.m:
             raise ConfigError("TPD needs d >= m")
-        parse_code_spec(self.code)  # validate spec string early
+        rate = parse_code_spec(self.code).rate  # validates the spec early
+        for g in self.ebn0_grid_db:
+            try:  # sigma overflows below about -3200 dB
+                sigma = ebn0_to_sigma(g, rate)
+            except ValueError as e:
+                raise ConfigError(f"ebn0_grid_db: {e}") from None
+            if sigma == 0.0:  # above about 3083 dB
+                raise ConfigError(f"ebn0_grid_db: {g} dB gives sigma = 0, a channel without noise")
 
     def to_dict(self):
         d = asdict(self)

@@ -234,20 +234,14 @@ class WindowDecoder:
             iters += 1
             eq_te, app, after = self._decide(te)
             if window_stops(iters, self.i_max,
-                            lambda: binary_entropy_from_llr(self._systematic(app)),
+                            lambda: binary_entropy_from_llr(sys.basic.systematic(app)),
                             self.stop_threshold, before, after):
                 break
             before = after
         v_hat, w_tilde = after
         # decision feedback: pin the emitted layer for later windows
         self._from(self.e2p, te)[self._e2p_at] = np.where(v_hat, -self._phi_max, self._phi_max)
-        return self._systematic(v_hat), v_hat, w_tilde, iters
-
-    def _systematic(self, x):
-        """The message-bit (systematic) positions of layer-sized codeword
-        values x: APPs or hard decisions."""
-        short = self.sys.basic.short
-        return x.reshape(self.sys.basic.B, short.N)[:, :short.K].reshape(-1)
+        return sys.basic.systematic(v_hat), v_hat, w_tilde, iters
 
 
 def decode_frame_swd(sys, llrs, d, i_max, stop_threshold=STOP_THRESHOLD):

@@ -18,6 +18,7 @@ every layer with the GAD as phase II.
 import numpy as np
 
 from .channel import channel_llr
+from .codes import as_bits
 from .coupling import superpose
 from .swd import STOP_THRESHOLD, decode_frame_swd
 
@@ -43,15 +44,13 @@ def gad_cancel(sys, y, words):
     s(x[t+i]) gathered back through interleaver i, times s(words[t, i])."""
     m, n, L, T = sys.m, sys.n, sys.L, sys.total_blocks
     y = np.asarray(y, dtype=np.float64)
-    words = np.asarray(words, dtype=np.uint8)
+    words = as_bits(words, "side information words", SideInfoError)
     if y.shape != (T, n):
         raise SideInfoError(f"received frame shape {y.shape} != {(T, n)}")
     if words.shape != (L, m + 1, n):
         raise SideInfoError(f"side info shape {words.shape} != {(L, m + 1, n)}")
     if np.isnan(y).any():
         raise SideInfoError("received frame y contains NaN")
-    if words.max(initial=0) > 1:
-        raise SideInfoError("side information words must be bits, 0 or 1")
     # times +-1 is an exact sign flip; int8, since 1 - 2 * uint8 wraps
     stripped = y * (1 - 2 * superpose(sys, words).view(np.int8))
     r = np.zeros((L, n))

@@ -260,7 +260,10 @@ def test_simulate_refuses_unrunnable_config_before_writing(tmp_path):
     for over in (dict(i_max=0), dict(ebn0_grid_db=[4.0, 4.0]),
                  dict(ebn0_grid_db=[float("-inf")]), dict(seed=-1), dict(seed=1.5),
                  dict(m=2.5), dict(m=True), dict(L=3.5), dict(d=4.5), dict(i_max=2.5),
-                 dict(stop_threshold=float("nan"))):
+                 dict(stop_threshold=float("nan")),
+                 # finite points the channel cannot simulate: sigma = 0 above
+                 # about 3083 dB, and no finite sigma below about -3200 dB
+                 dict(ebn0_grid_db=[2.0, 4000.0]), dict(ebn0_grid_db=[-4000.0])):
         cfgp = _write_config(tmp_path / "cfg.json", **over)
         out = tmp_path / "res.csv"
         assert main(["simulate", str(cfgp), "--out", str(out)]) == 1

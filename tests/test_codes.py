@@ -1,5 +1,5 @@
+import itertools
 import re
-from dataclasses import replace
 from math import comb
 
 import mpmath
@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmst.codes import (FAMILIES, MAX_K, CartesianCode, CodeError, code_extrinsic_llr,
-                        compute_iowef, encode_cartesian, make_code, make_repetition,
-                        make_spc, parse_code_spec, siso_map_decode)
+from bmst.codes import (FAMILIES, MAX_K, CartesianCode, CodeError, ShortCode,
+                        code_extrinsic_llr, compute_iowef, encode_cartesian, make_code,
+                        make_repetition, make_spc, parse_code_spec, siso_map_decode)
 from bmst.kernels import LLR_MAX
 
 HAMMING74 = [[1, 0, 0, 0, 1, 1, 0],
@@ -69,9 +69,9 @@ def test_make_code_rejects_large_k():
 def test_code_constructors_reject_bad_dimensions():
     rc2 = make_repetition(2)
     with pytest.raises(CodeError, match=f"K={MAX_K + 1} exceeds enumeration cap {MAX_K}"):
-        replace(rc2, K=MAX_K + 1, N=MAX_K + 2)
-    with pytest.raises(CodeError, match="K must not exceed N"):
-        replace(rc2, K=3)
+        ShortCode(np.hstack([np.eye(MAX_K + 1), np.ones((MAX_K + 1, 1))]))
+    with pytest.raises(CodeError, match="not systematic"):  # K = 3 > N = 2
+        ShortCode(np.eye(3, 2))
     with pytest.raises(CodeError, match="repetition code needs N >= 1"):
         make_repetition(0)
     with pytest.raises(CodeError, match="B must be >= 1"):
@@ -79,6 +79,43 @@ def test_code_constructors_reject_bad_dimensions():
     cart = parse_code_spec("SPC[4,3]^2")
     with pytest.raises(CodeError, match=re.escape("message shape (2, 5) does not end in k=6")):
         encode_cartesian(cart, np.zeros((2, 5), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("generator, kind, iowef", [
+    ([[1, 1, 1]], "rc", {(0, 0): 1, (1, 3): 1}),
+    ([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]], "spc",
+     {(0, 0): 1, (1, 2): 3, (2, 2): 3, (3, 4): 1}),
+    (HAMMING74, "generic", {(0, 0): 1, (1, 3): 3, (1, 4): 1, (2, 3): 3, (2, 4): 3,
+                            (3, 3): 1, (3, 4): 3, (4, 7): 1}),
+], ids=["rc3", "spc4", "hamming74"])
+def test_short_code_is_derived_from_its_generator(generator, kind, iowef):
+    code = ShortCode(generator, kind)
+    k, n = np.shape(generator)
+    assert (code.N, code.K, code.kind, code.rate) == (n, k, kind, k / n)
+    msgs = list(itertools.product((0, 1), repeat=k))  # lexicographic, bit 0 first
+    assert code.codebook_msgs.tolist() == [list(u) for u in msgs]
+    assert code.codebook.tolist() == [(np.array(u) @ generator % 2).tolist() for u in msgs]
+    assert code.codebook.dtype == code.generator.dtype == np.uint8
+    assert compute_iowef(code).coefficients == iowef
+    # the message posteriors are those of the first K code bits
+    p1 = np.random.default_rng(3).uniform(0.05, 0.95, n)
+    post, msg_post = siso_map_decode(code, np.stack([1.0 - p1, p1], axis=1))
+    assert post.shape == (n, 2) and np.array_equal(msg_post, post[:k])
+
+
+@pytest.mark.parametrize("bad", [[0.5, 1.0, 1.7], [256, 1, 0], [-1, 1, 0], [3, 1, 0],
+                                 [0.0, np.nan, 1.0]])
+def test_bit_inputs_must_be_exactly_0_or_1(bad):
+    # a uint8 cast before the check wrapped 256 to 0, truncated 0.5 to 0 and
+    # raised OverflowError on -1; make_code took its generator mod 2
+    cart = parse_code_spec("RC[2,1]^3")
+    with pytest.raises(CodeError, match="0 or 1"):
+        encode_cartesian(cart, np.array(bad))
+    with pytest.raises(CodeError, match="0 or 1"):
+        make_code([[1] + bad])
+    # exact 0 and 1 in any dtype encode as their uint8 bits
+    for ok in ([1.0, 0.0, 1.0], [True, False, True], np.array([1, 0, 1], dtype=np.int64)):
+        assert encode_cartesian(cart, ok).tolist() == [1, 1, 0, 0, 1, 1]
 
 
 def test_iowef_rc2():

@@ -35,7 +35,7 @@ def _identity_system(m, L):
     basic = CartesianCode(short=make_code(np.eye(2, dtype=np.uint8)), B=2)
     n = basic.n
     perms = np.tile(np.arange(n), (m + 1, 1))
-    il = InterleaverSet(m=m, n=n, seed=-1, perms=perms, invs=np.argsort(perms, axis=1))
+    il = InterleaverSet(perms=perms, invs=np.argsort(perms, axis=1))
     return BmstSystem(basic=basic, interleavers=il, L=L)
 
 

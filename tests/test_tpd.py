@@ -178,6 +178,20 @@ def test_gad_refuses_values_outside_its_domain():
         gad_cancel(sys_, y, np.zeros_like(words))
 
 
+def test_gad_reads_side_info_only_as_exact_bits():
+    # a uint8 cast before the check read a word of 256 or 0.6 as 0
+    sys_ = bmst.make_system("RC[2,1]^4", 1, 3, 0)
+    y = np.random.default_rng(1).normal(size=(4, 8))
+    words = np.random.default_rng(2).integers(0, 2, (3, 2, 8), dtype=np.uint8)
+    for bad, value in ((np.int64, 256), (np.float64, 0.6), (np.float64, 1e-300)):
+        w = words.astype(bad)
+        w[1, 0, 5] = value
+        with pytest.raises(SideInfoError, match="0 or 1"):
+            gad_cancel(sys_, y, w)
+    for exact in (np.float64, np.int64, bool):
+        assert np.array_equal(gad_cancel(sys_, y, words.astype(exact)), gad_cancel(sys_, y, words))
+
+
 def test_gad_refuses_side_info_with_tail_layers():
     # side information covers the L data layers only: the tail's zero
     # words are known to every decoder, not reported by a genie
