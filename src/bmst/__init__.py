@@ -14,6 +14,6 @@ from .tpd import decode_frame_gad, decode_frame_tpd, gad_cancel, gad_minimize
 from .analysis import (DesignSpec, design_memory, find_gamma_target,
                        flip_probability, genie_bound, lower_bound, pep,
                        q_function, shannon_limit_biawgn, union_bound)
-from .harness import SimConfig, predict_floor, run_point, run_sweep
+from .harness import SimConfig, run_point, run_sweep
 
 __version__ = "0.1.0"

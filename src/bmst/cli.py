@@ -67,15 +67,12 @@ def parse_grid(text):
 
 
 def short_code_for(family, rate):
-    """The code of a FAMILIES family at N = the rate's denominator, if its
-    K is the rate's numerator: RC[N,1] has rate 1/N, SPC[N,N-1] (N-1)/N."""
+    """The short code of a family at a rate: parse_code_spec's, of
+    "family[denominator,numerator]^1"."""
     try:
-        code = FAMILIES[family](rate.denominator)
-        if code.K == rate.numerator:
-            return code
-    except (KeyError, CodeError):
-        pass
-    raise UsageError(f"no {family.upper()} code of rate {rate}")
+        return parse_code_spec(f"{family}[{rate.denominator},{rate.numerator}]^1").short
+    except CodeError:
+        raise UsageError(f"no {family.upper()} code of rate {rate}") from None
 
 
 def cmd_design(args):
@@ -166,8 +163,10 @@ def cmd_simulate(args):
 
 
 def cmd_predict(args):
-    pred = harness.predict_floor(args.spec, args.m, args.p1, args.ebn0)
-    lb = analysis.lower_bound(compute_iowef(parse_code_spec(args.spec).short), args.m, args.ebn0)
+    # the phase-II prediction: the noisy-genie bound with the genie wrong at p_I
+    iowef = compute_iowef(parse_code_spec(args.spec).short)
+    pred = analysis.genie_bound(iowef, args.m, args.p1, args.ebn0)
+    lb = analysis.lower_bound(iowef, args.m, args.ebn0)
     print(f"predicted p_II  {pred:.3e}")
     print(f"lower bound     {lb:.3e}")
     return 0
@@ -206,7 +205,7 @@ def build_parser():
     pr = sub.add_parser("predict", help="predict phase-II BER from a measured p_I")
     pr.add_argument("--spec", required=True)
     pr.add_argument("--m", type=int, required=True)
-    pr.add_argument("--p1", type=float, required=True, help="measured phase-I BER")
+    pr.add_argument("--p1", type=float, required=True, help="measured phase-I BER, in [0, 0.5]")
     pr.add_argument("--ebn0", type=float, required=True, help="Eb/N0 in dB")
     pr.set_defaults(func=cmd_predict)
     return p

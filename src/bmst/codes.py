@@ -31,7 +31,7 @@ def as_bits(x, what, error=CodeError):
     return x.astype(np.uint8, copy=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShortCode:
     """A binary [N, K] block code, given by its K x N generator [I_K | P]:
     the window decoder reads a block's first K bits as its message. N, K
@@ -39,7 +39,7 @@ class ShortCode:
     order (bit 0 most significant), are derived from it. kind ("generic" or
     the FAMILIES key of its builder) selects the SISO path; it is set, not
     derived: RC[2,1] and SPC[2,1] share a generator, but their closed forms
-    round off differently."""
+    round off differently. Codes compare and hash by identity."""
 
     generator: np.ndarray
     kind: str = "generic"
@@ -57,13 +57,19 @@ class ShortCode:
 
     def __post_init__(self):
         g = as_bits(self.generator, "generator entries").copy()  # not the caller's array
+        if g.ndim != 2 or len(g) < 1:
+            raise CodeError(f"generator must be a K x N matrix with K >= 1, got shape {g.shape}")
         k, n = g.shape
         if k > MAX_K:
             raise CodeError(f"K={k} exceeds enumeration cap {MAX_K}")
         if not np.array_equal(g[:, :k], np.eye(k, dtype=np.uint8)):
             raise CodeError("generator is not systematic: its first K columns are not I_K")
-        msgs = ((np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)
-        for name, value in (("generator", g), ("N", n), ("K", k), ("codebook", msgs @ g % 2)):
+        # by doubling: the words so far, then the same words XOR a row, for
+        # each row from the last, so that row 0 sets the most significant bit
+        codebook = np.zeros((2 ** k, n), dtype=np.uint8)
+        for i, row in enumerate(g[::-1]):
+            np.bitwise_xor(codebook[:2 ** i], row, out=codebook[2 ** i:2 ** (i + 1)])
+        for name, value in (("generator", g), ("N", n), ("K", k), ("codebook", codebook)):
             object.__setattr__(self, name, value)
 
 

@@ -20,10 +20,11 @@ import numpy as np
 from .codes import CartesianCode, CodeError, encode_cartesian, parse_code_spec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterleaverSet:
     """The (m+1, n) int64 interleavers perms, as above, and their inverses
-    invs; a system reads its m and n off perms.shape."""
+    invs; a system reads its m and n off perms.shape. Sets compare and hash
+    by identity."""
 
     perms: np.ndarray = field(repr=False)
     invs: np.ndarray = field(repr=False)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis
 from .channel import channel_llr, ebn0_to_sigma, transmit
-from .codes import compute_iowef, parse_code_spec
+from .codes import parse_code_spec
 from .coupling import bpsk_map, encode_frame, make_system, true_branch_words
 from .swd import STOP_THRESHOLD, decode_frame_swd
 from .tpd import decode_frame_gad, decode_frame_tpd, flipped_side_info
@@ -189,7 +189,6 @@ class FrameCounts:
     p1_errors: int = 0
     p2_errors: int = 0
     iters: int = 0
-    layers: int = 0
 
     def add(self, other):
         for f in fields(self):
@@ -212,14 +211,12 @@ def simulate_frame(cfg, ebn0_db, point_idx, frame_idx):
                                cfg.stop_threshold)
         u_hat = res.u_hat
         out.iters = int(res.iterations.sum())
-        out.layers = sys.L
     elif cfg.decoder == "tpd":
         u_hat, phase1 = decode_frame_tpd(sys, y, sigma, cfg.d, cfg.i_max,
                                          cfg.stop_threshold)
         out.p1_bits = phase1.w_tilde.size
         out.p1_errors = int(np.count_nonzero(phase1.w_tilde != v[:, None]))
         out.iters = int(phase1.iterations.sum())
-        out.layers = sys.L
     elif cfg.decoder == "gad_perfect":
         u_hat = decode_frame_gad(sys, y, true_branch_words(sys, v))
     else:  # gad_flipped
@@ -264,6 +261,7 @@ def run_point(cfg, ebn0_db, point_idx=0, pool=None):
     point with more than one worker opens and closes its own."""
     start = time.monotonic()
     total = FrameCounts()
+    frames_run = 0
     truncated = False
 
     def stopped():
@@ -273,6 +271,7 @@ def run_point(cfg, ebn0_db, point_idx=0, pool=None):
             closing(_frames(cfg, ebn0_db, point_idx, pool)) as frames:
         while not stopped():
             total.add(next(frames))
+            frames_run += 1
             if cfg.max_seconds > 0 and time.monotonic() - start > cfg.max_seconds:
                 truncated = not stopped()
                 break
@@ -280,10 +279,10 @@ def run_point(cfg, ebn0_db, point_idx=0, pool=None):
     lo, hi = clopper_pearson(total.errors, total.bits)
     return PointResult(
         ebn0_db=float(ebn0_db), decoder=cfg.decoder, bits=total.bits,
-        errors=total.errors, ber=total.errors / total.bits if total.bits else 0.0,
+        errors=total.errors, ber=total.errors / total.bits,
         ci_low=lo, ci_high=hi, p1_bits=total.p1_bits, p1_errors=total.p1_errors,
         p2_errors=total.p2_errors,
-        mean_iters=total.iters / total.layers if total.layers else 0.0,
+        mean_iters=total.iters / (frames_run * cfg.L),
         seed=cfg.seed, truncated=truncated)
 
 
@@ -368,13 +367,3 @@ def run_sweep(cfg, out_csv=None):
         if fh is not None:
             fh.close()
     return results
-
-
-def predict_floor(code_spec, m, measured_p_i, ebn0_db):
-    """Phase-II BER prediction: the genie bound evaluated at
-    p_genie = measured p_I."""
-    if not 0.0 <= measured_p_i < 0.5:
-        raise ValueError("p_I must be in [0, 0.5)")
-    cart = parse_code_spec(code_spec)
-    iowef = compute_iowef(cart.short)
-    return analysis.genie_bound(iowef, m, measured_p_i, ebn0_db)

@@ -11,7 +11,7 @@ import pytest
 import bmst
 from bmst.cli import (MAX_GRID_POINTS, load_config, main, parse_grid, parse_rate,
                       short_code_for, UsageError)
-from bmst.codes import FAMILIES
+from bmst.codes import FAMILIES, parse_code_spec
 from bmst.harness import SimConfig, clopper_pearson
 
 
@@ -110,6 +110,12 @@ def test_short_code_for():
         short_code_for("spc", parse_rate("99/100"))
     with pytest.raises(UsageError, match="LDPC code of rate 1/2"):
         short_code_for("ldpc", parse_rate("1/2"))
+
+
+def test_short_code_for_is_the_parsed_spec_code():
+    # one object per family and N: the CLI builds no code of its own
+    assert short_code_for("spc", parse_rate("3/4")) is parse_code_spec("SPC[4,3]^1").short
+    assert short_code_for("rc", parse_rate("1/2")) is parse_code_spec("RC[2,1]^5000").short
 
 
 def test_design_offers_every_family(capsys):
@@ -288,7 +294,7 @@ def test_predict_command(capsys):
 
 
 def test_predict_p1_zero_is_the_lower_bound(capsys):
-    # a genie that is never wrong: predict_floor's own [0, 0.5) rule
+    # a genie that is never wrong: genie_bound at p_genie = 0 is lower_bound
     assert main(["predict", "--spec", "RC[2,1]^5000", "--m", "30",
                  "--p1", "0", "--ebn0", "0.5"]) == 0
     pred, lb = (line.split()[-1] for line in capsys.readouterr().out.splitlines())
@@ -328,3 +334,12 @@ def test_bound_at_an_overflowing_ebn0_is_zero(capsys):
 def test_predict_rejects_bad_p1():
     assert main(["predict", "--spec", "RC[2,1]^5000", "--m", "30",
                  "--p1", "0.7", "--ebn0", "0.5"]) == 1
+
+
+def test_predict_p1_one_half_is_a_coin_flip_genie(capsys):
+    # p_I = 0.5 is in the genie bound's domain: every look is a coin flip,
+    # and the prediction is 1/2
+    assert main(["predict", "--spec", "RC[2,1]^5000", "--m", "30",
+                 "--p1", "0.5", "--ebn0", "0.5"]) == 0
+    pred = capsys.readouterr().out.splitlines()[0].split()[-1]
+    assert pred == "5.000e-01"

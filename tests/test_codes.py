@@ -76,6 +76,10 @@ def test_code_constructors_reject_bad_dimensions():
         make_repetition(0)
     with pytest.raises(CodeError, match="B must be >= 1"):
         CartesianCode(short=rc2, B=0)
+    # a vector, and a matrix of no rows (a rate-0 code), before the shape is unpacked
+    for g in (np.ones(3), np.zeros((0, 3))):
+        with pytest.raises(CodeError, match="K x N matrix with K >= 1"):
+            make_code(g)
     cart = parse_code_spec("SPC[4,3]^2")
     with pytest.raises(CodeError, match=re.escape("message shape (2, 5) does not end in k=6")):
         encode_cartesian(cart, np.zeros((2, 5), dtype=np.uint8))
@@ -101,6 +105,28 @@ def test_short_code_is_derived_from_its_generator(generator, kind, iowef):
     p1 = np.random.default_rng(3).uniform(0.05, 0.95, n)
     post, msg_post = siso_map_decode(code, np.stack([1.0 - p1, p1], axis=1))
     assert post.shape == (n, 2) and np.array_equal(msg_post, post[:k])
+
+
+def test_codebook_of_random_systematic_generators():
+    # the codebook, built by doubling, is u @ G % 2 over the messages u in
+    # lexicographic order
+    rng = np.random.default_rng(11)
+    for k in range(1, 9):
+        for parity in (0, 1, 5):
+            g = np.hstack([np.eye(k, dtype=np.uint8),
+                           rng.integers(0, 2, (k, parity), dtype=np.uint8)])
+            msgs = np.array(list(itertools.product((0, 1), repeat=k)))
+            assert np.array_equal(make_code(g).codebook, msgs @ g % 2)
+
+
+def test_codes_compare_and_hash_by_identity():
+    # two builds are two codes; parse_code_spec hands back one per family and N
+    a, b = make_repetition(3), make_repetition(3)
+    assert a == a and a != b and len({a, b, a}) == 2
+    assert parse_code_spec("RC[2,1]^4") == parse_code_spec("rc[2,1]^4")
+    assert parse_code_spec("RC[2,1]^4") != parse_code_spec("RC[2,1]^5")
+    assert hash(parse_code_spec("SPC[4,3]^2")) == hash(parse_code_spec("SPC[4,3]^2"))
+    assert CartesianCode(a, 2) != CartesianCode(b, 2)
 
 
 @pytest.mark.parametrize("bad", [[0.5, 1.0, 1.7], [256, 1, 0], [-1, 1, 0], [3, 1, 0],

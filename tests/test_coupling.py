@@ -19,6 +19,15 @@ def test_interleavers_deterministic():
     assert not np.array_equal(a.perms, c.perms)
 
 
+def test_systems_compare_and_hash_by_their_parts():
+    # an interleaver set is its own object, so two builds differ; one system
+    # equals itself and a copy of its fields
+    a, b = make_system("RC[2,1]^4", 1, 3, 0), make_system("RC[2,1]^4", 1, 3, 0)
+    assert a == a and a != b and len({a, b, a}) == 2
+    assert BmstSystem(a.basic, a.interleavers, a.L) == a
+    assert a.interleavers != generate_interleavers(8, 1, 0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 200), st.integers(0, 6), st.integers(0, 2**32 - 1))
 def test_interleavers_bijective_with_inverse(n, m, seed):

@@ -12,8 +12,8 @@ from scipy.stats import beta
 
 from bmst.analysis import q_function
 from bmst.harness import (RESULTS_VERSION, ConfigError, SimConfig,
-                          clopper_pearson, config_sidecar_path, predict_floor,
-                          run_point, run_sweep, simulate_frame)
+                          clopper_pearson, config_sidecar_path, run_point,
+                          run_sweep, simulate_frame)
 
 
 def small_cfg(**over):
@@ -322,13 +322,6 @@ def test_single_antipodal_look_matches_gaussian_tail():
     r = run_point(cfg, g)
     expect = float(q_function(np.sqrt(2.0 * 10 ** (g / 10))))
     assert r.ci_low <= expect <= r.ci_high
-
-
-def test_predict_floor_validates_and_computes():
-    val = predict_floor("RC[2,1]^5000", 30, 7.0e-6, 0.5)
-    assert 0 < val < 1e-15
-    with pytest.raises(ValueError):
-        predict_floor("RC[2,1]^5000", 30, 0.6, 0.5)
 
 
 def test_content_hash_ignores_workers_and_names_the_kernel(monkeypatch):
